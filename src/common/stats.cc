@@ -19,9 +19,4 @@ size_t NearestRankIndex(size_t n, double q) {
   return static_cast<size_t>(clamped - 1);
 }
 
-double PercentileSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  return sorted[NearestRankIndex(sorted.size(), q)];
-}
-
 }  // namespace teamdisc

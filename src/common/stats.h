@@ -1,12 +1,9 @@
-// Shared order-statistics helpers for latency reporting.
-//
-// Every layer that reports percentiles (ServeBatch reports, the serving
-// pipeline, serve-bench drivers) goes through these, so "p50" means the same
+// Shared order-statistics helper for latency reporting: the serving
+// metrics' histogram percentiles go through it, so "p50" means the
 // nearest-rank sample everywhere.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace teamdisc {
 
@@ -19,8 +16,5 @@ namespace teamdisc {
 /// 0.50 * 100 can evaluate to 50.000000000000007, ceiling to rank 51 and
 /// shifting the reported median by one sample.
 size_t NearestRankIndex(size_t n, double q);
-
-/// Nearest-rank percentile over an already sorted sample set; 0 when empty.
-double PercentileSorted(const std::vector<double>& sorted, double q);
 
 }  // namespace teamdisc

@@ -640,18 +640,10 @@ void HttpServer::SubmitFind(Connection* conn, const HttpRequest& request) {
       } else {
         team_request.top_k = static_cast<uint32_t>(parsed.ValueOrDie());
       }
-    } else if (key == "oracle") {
-      if (value == "pll") {
-        team_request.oracle = OracleKind::kPrunedLandmarkLabeling;
-      } else if (value == "dijkstra") {
-        team_request.oracle = OracleKind::kDijkstra;
-      } else {
-        parse_error = Status::InvalidArgument("unknown oracle '" + value +
-                                              "' (pll|dijkstra)");
-      }
     } else {
-      // Same discipline as the CLI's RejectUnknownFlags: a typo'd
-      // parameter fails loudly instead of silently running with defaults.
+      // Same discipline as the CLI's CheckFlags: a typo'd parameter (or the
+      // retired oracle=) fails loudly instead of silently running with
+      // defaults.
       parse_error = Status::InvalidArgument("unknown parameter '" + key + "'");
     }
     if (!parse_error.ok()) break;
@@ -703,26 +695,25 @@ void HttpServer::OnPipelineComplete(uint64_t conn_id,
   completion.conn_id = conn_id;
   const Result<std::vector<ScoredTeam>>& result = handle.Wait();  // done
   if (result.ok()) {
-    const std::shared_ptr<const ExpertNetwork> net = service_->network();
+    // Render against the epoch that solved the request, not the current
+    // one: an ApplyDelta landing since may have renumbered experts.
+    const EpochRef epoch = handle.epoch();
+    const ExpertNetwork* net = epoch.network.get();
     std::string teams_json;
     for (const ScoredTeam& team : result.ValueOrDie()) {
       if (!teams_json.empty()) teams_json += ",";
       std::string members;
       for (NodeId v : team.team.nodes) {
         if (!members.empty()) members += ",";
-        const std::string name =
-            v < net->num_experts() ? net->expert(v).name : std::string();
         members += StrFormat("{\"id\":%u,\"name\":\"%s\"}", v,
-                             JsonEscape(name).c_str());
+                             JsonEscape(net->expert(v).name).c_str());
       }
       std::string assignments;
       for (const SkillAssignment& a : team.team.assignments) {
         if (!assignments.empty()) assignments += ",";
-        const std::string skill = a.skill < net->num_skills()
-                                      ? net->skills().NameUnchecked(a.skill)
-                                      : std::string();
-        assignments += StrFormat("{\"skill\":\"%s\",\"expert\":%u}",
-                                 JsonEscape(skill).c_str(), a.expert);
+        assignments += StrFormat(
+            "{\"skill\":\"%s\",\"expert\":%u}",
+            JsonEscape(net->skills().NameUnchecked(a.skill)).c_str(), a.expert);
       }
       teams_json += StrFormat(
           "{\"objective\":%.6f,\"members\":[%s],\"assignments\":[%s]}",
@@ -732,7 +723,7 @@ void HttpServer::OnPipelineComplete(uint64_t conn_id,
     completion.body = StrFormat(
         "{\"status\":\"ok\",\"generation\":%llu,\"teams\":[%s],"
         "\"queue_ms\":%.3f,\"solve_ms\":%.3f}\n",
-        static_cast<unsigned long long>(service_->generation()),
+        static_cast<unsigned long long>(epoch.generation),
         teams_json.c_str(), handle.queue_ms(), handle.solve_ms());
   } else if (result.status().IsInfeasible()) {
     completion.http_status = 200;

@@ -48,7 +48,7 @@
 //
 // Endpoints:
 //   GET/POST /find     team query (skills=a,b,c&gamma=&lambda=&top_k=&
-//                      strategy=&oracle=), JSON response
+//                      strategy=), JSON response; always the PLL index
 //   GET      /healthz  200 healthy / 503 degraded-or-draining (+JSON)
 //   GET      /metrics  the pipeline's full metrics registry as JSON
 #pragma once

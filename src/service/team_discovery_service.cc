@@ -1,20 +1,13 @@
 #include "service/team_discovery_service.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <tuple>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/random.h"
-#include "common/stats.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/greedy_team_finder.h"
 #include "network/network_io.h"
@@ -29,73 +22,6 @@ std::string_view HealthStateToString(HealthState state) {
       return "DEGRADED";
   }
   return "UNKNOWN";
-}
-
-std::vector<TeamRequest> MakeRequestMix(const ExpertNetwork& net,
-                                        const SnapshotManifest& manifest,
-                                        const RequestMixOptions& options) {
-  std::vector<double> gammas;
-  for (const SnapshotIndexEntry& e : manifest.entries) {
-    if (e.transformed) gammas.push_back(e.gamma_bp / 10000.0);
-  }
-  if (gammas.empty()) gammas.push_back(0.6);  // empty snapshot: build once
-  Rng rng(options.seed);
-  std::vector<TeamRequest> requests;
-  requests.reserve(options.count);
-  for (size_t i = 0; i < options.count; ++i) {
-    TeamRequest request;
-    std::vector<SkillId> drawn;
-    // Bounded by the vocabulary size so a tiny network cannot spin forever
-    // hunting for another distinct skill.
-    while (drawn.size() < options.skills_per_request &&
-           drawn.size() < net.num_skills()) {
-      SkillId s = static_cast<SkillId>(rng.NextBounded(net.num_skills()));
-      if (std::find(drawn.begin(), drawn.end(), s) == drawn.end()) {
-        drawn.push_back(s);
-        request.skills.emplace_back(net.skills().NameUnchecked(s));
-      }
-    }
-    request.gamma = gammas[i % gammas.size()];
-    request.lambda = options.lambda;
-    request.top_k = options.top_k;
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
-std::vector<ExpertNetworkDelta> MakeDeltaMix(const ExpertNetwork& net,
-                                             const DeltaMixOptions& options) {
-  Rng rng(options.seed);
-  std::vector<ExpertNetworkDelta> deltas;
-  deltas.reserve(options.count);
-  // Track mutable state locally so every delta is valid against the network
-  // its predecessors produce: which experts currently hold the synthetic
-  // churn skill, and each edge's current weight.
-  std::vector<bool> has_churn_skill(net.num_experts(), false);
-  std::vector<Edge> edges = net.graph().CanonicalEdges();
-  for (size_t i = 0; i < options.count; ++i) {
-    ExpertNetworkDelta delta;
-    const bool skill_only =
-        options.interleave_skill_only && i % 2 == 0 && net.num_experts() > 0;
-    if (skill_only) {
-      const NodeId expert =
-          static_cast<NodeId>(rng.NextBounded(net.num_experts()));
-      if (has_churn_skill[expert]) {
-        delta.RevokeSkill(expert, "churn");
-      } else {
-        delta.AddSkill(expert, "churn");
-      }
-      has_churn_skill[expert] = !has_churn_skill[expert];
-    } else if (!edges.empty()) {
-      Edge& edge = edges[rng.NextBounded(edges.size())];
-      // Alternate growth and shrink so repeated reweights of one edge stay
-      // bounded instead of drifting toward overflow.
-      edge.weight = i % 4 < 2 ? edge.weight * 1.25 : edge.weight * 0.8;
-      delta.ReweightCollaboration(edge.u, edge.v, edge.weight);
-    }
-    deltas.push_back(std::move(delta));
-  }
-  return deltas;
 }
 
 Result<std::unique_ptr<TeamDiscoveryService>> TeamDiscoveryService::Open(
@@ -246,17 +172,17 @@ Result<FinderOptions> TeamDiscoveryService::MakeFinderOptions(
   options.params.gamma = request.gamma;
   options.params.lambda = request.lambda;
   options.top_k = request.top_k;
-  options.oracle = request.oracle;
-  options.num_threads = 1;  // the batch fan-out is the parallelism
+  options.num_threads = 1;  // pipeline workers are the parallelism
   TD_RETURN_IF_ERROR(options.Validate());
   return options;
 }
 
 Result<std::vector<ScoredTeam>> TeamDiscoveryService::TopK(
-    const TeamRequest& request) const {
+    const TeamRequest& request, EpochRef* solved_on) const {
   // One epoch for the whole request: network, project resolution, and index
   // always agree even if an ApplyDelta swap lands mid-request.
   const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
+  if (solved_on != nullptr) *solved_on = {epoch->generation, epoch->net};
   TD_ASSIGN_OR_RETURN(FinderOptions options, MakeFinderOptions(request));
   TD_ASSIGN_OR_RETURN(Project project, MakeProject(*epoch->net, request.skills));
   // Hold the view across the query: it pins the index, so a concurrent
@@ -264,7 +190,7 @@ Result<std::vector<ScoredTeam>> TeamDiscoveryService::TopK(
   // mid-request.
   TD_ASSIGN_OR_RETURN(OracleCache::View view,
                       epoch->cache->Get(request.strategy, request.gamma,
-                                        request.oracle));
+                                        OracleKind::kPrunedLandmarkLabeling));
   TD_ASSIGN_OR_RETURN(auto finder,
                       GreedyTeamFinder::MakeWithExternalOracle(
                           *epoch->net, std::move(options), *view.oracle));
@@ -298,147 +224,6 @@ Result<std::vector<ParetoTeam>> TeamDiscoveryService::Pareto(
   }
   return DiscoverParetoTeams(*epoch->net, project, request.options, factory,
                              base_view.oracle.get());
-}
-
-Result<ServeReport> TeamDiscoveryService::ServeBatch(
-    const std::vector<TeamRequest>& requests, size_t workers,
-    std::vector<std::vector<ScoredTeam>>* results) const {
-  // An empty batch is a well-defined no-op, not an error: drivers that size
-  // batches dynamically (e.g. whatever arrived this tick) may legitimately
-  // hand over zero requests, and the all-zero report below must never reach
-  // the old `latencies.back()` on an empty sample set (UB).
-  if (requests.empty()) {
-    if (results != nullptr) results->clear();
-    return ServeReport{};
-  }
-  // The batch pins the epoch current at entry: every request in the batch
-  // is answered on one consistent network + index state, and a concurrent
-  // ApplyDelta swap takes effect only for later batches.
-  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
-
-  struct Outcome {
-    Status status = Status::OK();
-    std::vector<ScoredTeam> teams;
-    double millis = 0.0;
-  };
-  std::vector<Outcome> outcomes(requests.size());
-
-  // Per-worker finder reuse: consecutive requests sharing (strategy, exact
-  // gamma, kind) re-point lambda/top_k on a cached finder instead of
-  // re-wiring the oracle. Keyed on the exact gamma bits — not its basis-
-  // point bucket — because the finder's scoring params carry the exact
-  // gamma: bucketing here would let one request inherit another's params
-  // depending on scheduling, breaking the worker-count-independence
-  // contract. The View member pins the index for as long as the finder
-  // references it.
-  struct CachedFinder {
-    OracleCache::View view;
-    std::unique_ptr<GreedyTeamFinder> finder;
-  };
-  using FinderKey = std::tuple<int, uint64_t, int>;
-  struct WorkerState {
-    std::map<FinderKey, CachedFinder> finders;
-  };
-  // Clamp through the same guard the thread subsystems use, so a typo'd
-  // --workers=10^9 warns and caps instead of spawning 10^9 threads.
-  workers = ThreadPool::ResolveThreadCount(workers > 0 ? workers : 1, nullptr);
-  ThreadPool pool(workers > 1 ? workers : 0);
-  std::vector<WorkerState> states(pool.NumShards(requests.size()));
-
-  Timer wall;
-  pool.ParallelForWorkers(requests.size(), [&](size_t worker, size_t i) {
-    const TeamRequest& request = requests[i];
-    Outcome& out = outcomes[i];
-    Timer latency;
-    auto finish = [&] { out.millis = latency.ElapsedMillis(); };
-
-    auto options = MakeFinderOptions(request);
-    if (!options.ok()) {
-      out.status = options.status();
-      finish();
-      return;
-    }
-    auto project = MakeProject(*epoch->net, request.skills);
-    if (!project.ok()) {
-      out.status = project.status();
-      finish();
-      return;
-    }
-    FinderKey key{static_cast<int>(request.strategy),
-                  request.strategy == RankingStrategy::kCC
-                      ? 0
-                      : std::bit_cast<uint64_t>(request.gamma),
-                  static_cast<int>(request.oracle)};
-    WorkerState& state = states[worker];
-    auto it = state.finders.find(key);
-    if (it == state.finders.end()) {
-      auto view =
-          epoch->cache->Get(request.strategy, request.gamma, request.oracle);
-      if (!view.ok()) {
-        out.status = view.status();
-        finish();
-        return;
-      }
-      auto finder = GreedyTeamFinder::MakeWithExternalOracle(
-          *epoch->net, options.ValueOrDie(), *view.ValueOrDie().oracle);
-      if (!finder.ok()) {
-        out.status = finder.status();
-        finish();
-        return;
-      }
-      it = state.finders
-               .emplace(key, CachedFinder{std::move(view).ValueOrDie(),
-                                          std::move(finder).ValueOrDie()})
-               .first;
-    }
-    GreedyTeamFinder& finder = *it->second.finder;
-    Status tuned = finder.set_lambda(request.lambda);
-    if (tuned.ok()) tuned = finder.set_top_k(request.top_k);
-    if (!tuned.ok()) {
-      out.status = tuned;
-      finish();
-      return;
-    }
-    auto teams = finder.FindTeams(project.ValueOrDie());
-    if (!teams.ok()) {
-      out.status = teams.status();
-      finish();
-      return;
-    }
-    out.teams = std::move(teams).ValueOrDie();
-    finish();
-  });
-
-  ServeReport report;
-  report.wall_seconds = wall.ElapsedSeconds();
-  report.requests = requests.size();
-  if (results != nullptr) {
-    results->clear();
-    results->resize(requests.size());
-  }
-  std::vector<double> latencies;
-  latencies.reserve(requests.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    Outcome& out = outcomes[i];
-    latencies.push_back(out.millis);
-    if (out.status.ok()) {
-      ++report.solved;
-      if (results != nullptr) (*results)[i] = std::move(out.teams);
-    } else if (out.status.IsInfeasible()) {
-      ++report.infeasible;
-    } else {
-      ++report.failures;
-    }
-  }
-  std::sort(latencies.begin(), latencies.end());
-  report.p50_ms = PercentileSorted(latencies, 0.50);
-  report.p90_ms = PercentileSorted(latencies, 0.90);
-  report.p99_ms = PercentileSorted(latencies, 0.99);
-  report.max_ms = latencies.empty() ? 0.0 : latencies.back();
-  report.qps = report.wall_seconds > 0.0
-                   ? static_cast<double>(report.requests) / report.wall_seconds
-                   : 0.0;
-  return report;
 }
 
 Result<UpdateReport> TeamDiscoveryService::ApplyDelta(

@@ -4,11 +4,12 @@
 // the shape of a serving process, not a batch experiment. TeamDiscoveryService
 // loads a network plus pre-built per-(strategy, gamma, oracle-kind) index
 // artifacts from a snapshot directory (written by `teamdisc_cli build-index`
-// / BuildSnapshot), answers FindTeam / TopK / Pareto requests, and fans
-// request batches over a thread pool with per-worker finders drawn from a
-// memory-budgeted, LRU-evicting OracleCache. A request whose index is
-// missing from the snapshot falls back to building it once — and persisting
-// it back into the snapshot — instead of failing.
+// / BuildSnapshot) and answers FindTeam / TopK / Pareto requests off a
+// memory-budgeted, LRU-evicting OracleCache. TopK is the call the serving
+// path makes: RequestPipeline's dispatch workers run it once per /find
+// request. A request whose index is missing from the snapshot falls back to
+// building it once — and persisting it back into the snapshot — instead of
+// failing.
 //
 // Live updates: real networks churn (experts join/leave, skills change,
 // collaboration weights shift), and ApplyDelta serves through the churn
@@ -20,7 +21,7 @@
 // invalidated ones — and then atomically swaps the epoch pointer:
 //
 //      requests ──────▶ epoch N (serving) ──────────────┐
-//        ApplyDelta ──▶ build epoch N+1 (background)    │ in-flight batches
+//        ApplyDelta ──▶ build epoch N+1 (background)    │ in-flight requests
 //                          adopt / rebuild indexes      │ finish on epoch N
 //                       swap pointer ──▶ epoch N+1      ▼
 //                       epoch N freed when its last request drops
@@ -57,7 +58,6 @@ struct TeamRequest {
   double gamma = 0.6;
   double lambda = 0.6;
   uint32_t top_k = 1;
-  OracleKind oracle = OracleKind::kPrunedLandmarkLabeling;
 };
 
 /// \brief A Pareto-front request over the three raw objectives.
@@ -66,18 +66,14 @@ struct ParetoRequest {
   ParetoOptions options;
 };
 
-/// \brief Aggregate outcome of one ServeBatch run.
-struct ServeReport {
-  uint64_t requests = 0;
-  uint64_t solved = 0;
-  uint64_t infeasible = 0;  ///< no covering team exists (not an error)
-  uint64_t failures = 0;    ///< hard errors (bad skills, index failures)
-  double wall_seconds = 0.0;
-  double qps = 0.0;       ///< requests / wall_seconds
-  double p50_ms = 0.0;    ///< per-request latency percentiles
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
+/// \brief The serving epoch a request was answered on. Expert and skill ids
+/// in an answer index into `network`: after a remove-expert delta compacts
+/// ids, the current network may name them differently, so whoever renders
+/// an answer must render it against this epoch, not the current one.
+struct EpochRef {
+  uint64_t generation = 0;
+  /// Shared: holding the ref keeps the network alive past the epoch's swap.
+  std::shared_ptr<const ExpertNetwork> network;
 };
 
 /// \brief What one ApplyDelta did.
@@ -138,45 +134,6 @@ struct ServiceOptions {
   bool persist_updates = true;
 };
 
-/// \brief Knobs of MakeRequestMix.
-struct RequestMixOptions {
-  size_t count = 200;
-  uint32_t skills_per_request = 3;
-  double lambda = 0.6;
-  uint32_t top_k = 1;
-  uint64_t seed = 42;
-};
-
-/// Deterministic closed-loop request mix shared by `teamdisc_cli
-/// serve-bench` and bench/serve_throughput: each request draws distinct
-/// random skills from the network's vocabulary (bounded by its size), and
-/// gammas cycle through the manifest's pre-built transform entries (0.6
-/// when the snapshot has none), so a healthy snapshot-backed run performs
-/// zero index builds.
-std::vector<TeamRequest> MakeRequestMix(const ExpertNetwork& net,
-                                        const SnapshotManifest& manifest,
-                                        const RequestMixOptions& options);
-
-/// \brief Knobs of MakeDeltaMix.
-struct DeltaMixOptions {
-  size_t count = 8;
-  uint64_t seed = 7;
-  /// Every delta at an even position in the mix only toggles a synthetic
-  /// skill on one expert — index-neutral churn that a healthy epoch swap
-  /// absorbs with zero rebuilds. Odd positions reweight one collaboration
-  /// edge, invalidating the base index and every transform. Set to false
-  /// for a reweight-only (all-invalidating) mix.
-  bool interleave_skill_only = true;
-};
-
-/// Deterministic update mix for churn benchmarks (`serve-bench --updates`,
-/// bench/serve_throughput): alternating skill-toggle and edge-reweight
-/// deltas against `net`. Deltas never add or remove experts, so expert ids
-/// stay stable; they are only valid when applied in order, each against the
-/// network produced by its predecessors.
-std::vector<ExpertNetworkDelta> MakeDeltaMix(const ExpertNetwork& net,
-                                             const DeltaMixOptions& options);
-
 /// \brief Snapshot-backed team-discovery server with live updates.
 class TeamDiscoveryService {
  public:
@@ -192,23 +149,14 @@ class TeamDiscoveryService {
   /// Best single team for the request (top_k forced to 1). Thread-safe.
   Result<std::vector<ScoredTeam>> FindTeam(const TeamRequest& request) const;
 
-  /// Up to request.top_k teams, best first. Thread-safe.
-  Result<std::vector<ScoredTeam>> TopK(const TeamRequest& request) const;
+  /// Up to request.top_k teams, best first, always over the PLL index.
+  /// Thread-safe. The whole request runs on the epoch current at entry;
+  /// when `solved_on` is non-null it receives that epoch.
+  Result<std::vector<ScoredTeam>> TopK(const TeamRequest& request,
+                                       EpochRef* solved_on = nullptr) const;
 
   /// Pareto front over (CC, CA, SA) for the request's skills. Thread-safe.
   Result<std::vector<ParetoTeam>> Pareto(const ParetoRequest& request) const;
-
-  /// Answers every request over `workers` threads (1 = inline) and reports
-  /// throughput/latency. When `results` is non-null it is resized to
-  /// `requests.size()` and filled positionally — entry i is request i's team
-  /// list (empty when infeasible/failed) — so callers can assert that
-  /// results are identical at any worker count. Per-worker finders are
-  /// reused across consecutive requests that share (strategy, gamma, kind).
-  /// The whole batch runs on the epoch current at entry: an ApplyDelta
-  /// landing mid-batch never mixes old and new answers within the batch.
-  Result<ServeReport> ServeBatch(
-      const std::vector<TeamRequest>& requests, size_t workers,
-      std::vector<std::vector<ScoredTeam>>* results = nullptr) const;
 
   /// Applies a network delta live: materializes the successor network,
   /// builds its index cache in the background (adopting every index whose

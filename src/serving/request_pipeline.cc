@@ -35,6 +35,7 @@ struct ResponseHandle::State {
   double queue_ms = 0.0;
   double solve_ms = 0.0;
   double e2e_ms = 0.0;
+  EpochRef epoch;
   /// Taken (moved out) by Complete before invocation, so it runs once even
   /// if a future code path completed twice.
   std::function<void(const ResponseHandle&)> on_complete;
@@ -64,6 +65,11 @@ double ResponseHandle::solve_ms() const {
 double ResponseHandle::e2e_ms() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->e2e_ms;
+}
+
+EpochRef ResponseHandle::epoch() const {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->epoch;
 }
 
 RequestPipeline::RequestPipeline(const TeamDiscoveryService& service,
@@ -176,7 +182,8 @@ Result<ResponseHandle> RequestPipeline::Submit(TeamRequest request,
 
 void RequestPipeline::Complete(Item& item,
                                Result<std::vector<ScoredTeam>> result,
-                               double queue_ms, double solve_ms) {
+                               double queue_ms, double solve_ms,
+                               EpochRef epoch) {
   const double e2e_ms = ToMillis(Clock::now() - item.submitted_at);
   e2e_us_->Record(static_cast<uint64_t>(e2e_ms * 1e3));
   std::function<void(const ResponseHandle&)> on_complete;
@@ -186,6 +193,7 @@ void RequestPipeline::Complete(Item& item,
     item.state->queue_ms = queue_ms;
     item.state->solve_ms = solve_ms;
     item.state->e2e_ms = e2e_ms;
+    item.state->epoch = std::move(epoch);
     item.state->done = true;
     on_complete = std::move(item.state->on_complete);
     item.state->on_complete = nullptr;
@@ -227,12 +235,13 @@ void RequestPipeline::WorkerLoop() {
     if (options_.pre_dispatch_hook) options_.pre_dispatch_hook(item.request);
 
     // TopK pins the service's current epoch for the whole solve: a
-    // concurrent ApplyDelta swap never tears this request, and the epoch it
-    // started on stays alive until the solve finishes.
+    // concurrent ApplyDelta swap never tears this request, and the handle
+    // keeps the network it ran on alive until the answer has been rendered.
     Timer solve;
+    EpochRef epoch;
     Result<std::vector<ScoredTeam>> teams =
         FaultInjection::MaybeFail("pipeline.dispatch").ok()
-            ? service_.TopK(item.request)
+            ? service_.TopK(item.request, &epoch)
             : Result<std::vector<ScoredTeam>>(
                   Status::IOError("injected fault at pipeline.dispatch"));
     const double solve_ms = solve.ElapsedMillis();
@@ -244,7 +253,7 @@ void RequestPipeline::WorkerLoop() {
     } else {
       failed_->Increment();
     }
-    Complete(item, std::move(teams), queue_ms, solve_ms);
+    Complete(item, std::move(teams), queue_ms, solve_ms, std::move(epoch));
   }
 }
 

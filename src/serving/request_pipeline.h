@@ -1,11 +1,8 @@
 // Async serving front-end over TeamDiscoveryService: submit → bounded
-// admission queue → dispatch onto epoch-pinned workers → complete.
-//
-// TeamDiscoveryService::ServeBatch is a closed-loop driver: the caller hands
-// over a whole batch and each worker starts the next solve the moment the
-// previous one finishes, so queueing delay is invisible and overload shows
-// up as everyone's latency collapsing together. RequestPipeline is the
-// open-loop shape a real server needs:
+// admission queue → dispatch onto epoch-pinned workers → complete. This is
+// the one path every /find request takes (HttpServer submits here), so it
+// is also where the determinism contract is tested: answers are
+// bit-identical at any worker count.
 //
 //    Submit(request) ──▶ admission queue (bounded) ──▶ dispatch workers ──▶
 //      │ full? shed with ResourceExhausted             │ svc.TopK (pins the
@@ -19,9 +16,11 @@
 //   configured bound, Submit sheds the arrival with an explicit
 //   ResourceExhausted instead of letting the backlog grow without bound and
 //   collapse latency for every admitted request.
-// - Workers solve through TeamDiscoveryService, which pins the current
-//   epoch per request — an ApplyDelta swap mid-flight never tears a
+// - Workers solve through TeamDiscoveryService::TopK, which pins the
+//   current epoch per request — an ApplyDelta swap mid-flight never tears a
 //   request, and in-flight requests complete on the epoch they started on.
+//   The handle carries that epoch, so the answer is rendered against the
+//   network that produced it even if a swap lands before it is read.
 // - Every stage feeds a MetricsRegistry (submitted/admitted/shed/expired/
 //   cancelled/solved counters, live queue depth, queue-wait / solve / e2e
 //   histograms), snapshotable as JSON (MetricsJson also folds in the
@@ -112,6 +111,11 @@ class ResponseHandle {
   double solve_ms() const;
   double e2e_ms() const;
 
+  /// The epoch TopK pinned for the solve, meaningful after Wait(): render
+  /// the answer's expert and skill ids against its network. Empty (null
+  /// network) when the request never reached a solve — expired, cancelled.
+  EpochRef epoch() const;
+
  private:
   friend class RequestPipeline;
   struct State;
@@ -169,7 +173,7 @@ class RequestPipeline {
 
   void WorkerLoop();
   void Complete(Item& item, Result<std::vector<ScoredTeam>> result,
-                double queue_ms, double solve_ms);
+                double queue_ms, double solve_ms, EpochRef epoch = {});
 
   const TeamDiscoveryService& service_;
   PipelineOptions options_;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace teamdisc {
 namespace {
 
@@ -38,27 +36,6 @@ TEST(StatsTest, NearestRankIndexTableDriven) {
     EXPECT_EQ(NearestRankIndex(c.n, c.q), c.want)
         << "n=" << c.n << " q=" << c.q;
   }
-}
-
-TEST(StatsTest, PercentileSortedPicksNearestRankValue) {
-  std::vector<double> sorted;
-  for (int i = 1; i <= 100; ++i) sorted.push_back(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.50), 50.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.90), 90.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.99), 99.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.55), 55.0);  // fp ceil says 56
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 1.0), 100.0);
-}
-
-TEST(StatsTest, PercentileSortedEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(PercentileSorted({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted({}, 0.99), 0.0);
-}
-
-TEST(StatsTest, PercentileSortedSingleElement) {
-  std::vector<double> one = {7.5};
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 0.01), 7.5);
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 0.99), 7.5);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <filesystem>
 
 #include "../core/test_networks.h"
+#include "../serving/test_serving.h"
 #include "common/fault_injection.h"
 #include "service/team_discovery_service.h"
 
@@ -71,25 +72,15 @@ Result<std::vector<std::vector<ScoredTeam>>> Serve(
   options.persist_updates = false;
   TD_ASSIGN_OR_RETURN(auto svc, TeamDiscoveryService::Open(options));
   std::vector<std::vector<ScoredTeam>> results;
-  TD_ASSIGN_OR_RETURN(ServeReport report,
-                      svc->ServeBatch(requests, 1, &results));
-  if (report.failures != 0 || report.infeasible != 0) {
-    return Status::Internal("probe requests must all solve");
+  for (const TeamRequest& request : requests) {
+    auto teams = svc->TopK(request);
+    if (!teams.ok()) {
+      return Status::Internal("probe requests must all solve: " +
+                              teams.status().ToString());
+    }
+    results.push_back(std::move(teams).ValueOrDie());
   }
   return results;
-}
-
-void ExpectSameResults(const std::vector<std::vector<ScoredTeam>>& a,
-                       const std::vector<std::vector<ScoredTeam>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << "request " << i;
-    for (size_t k = 0; k < a[i].size(); ++k) {
-      EXPECT_EQ(a[i][k].team.nodes, b[i][k].team.nodes) << "request " << i;
-      EXPECT_EQ(a[i][k].proxy_cost, b[i][k].proxy_cost);
-      EXPECT_EQ(a[i][k].objective, b[i][k].objective);
-    }
-  }
 }
 
 size_t CountTmpFiles(const std::string& dir) {

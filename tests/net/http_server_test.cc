@@ -145,6 +145,7 @@ TEST_F(HttpServerTest, RoutingAndValidationErrors) {
       {"/find?skills=a&nope=1", 400},        // unknown parameter
       {"/find?skills=a&strategy=bogus", 400},
       {"/find?skills=a&top_k=0", 400},
+      {"/find?skills=a&oracle=dijkstra", 400},  // no client-chosen oracle
       {"/nothing", 404},
       {"/metrics", 200},
       {"/healthz", 200},
@@ -243,28 +244,41 @@ TEST_F(HttpServerTest, SlowLorisIsEvictedWithoutStallingOthers) {
       if (!WriteSome(loris.ValueOrDie(), &byte, 1).ok()) break;
     }
   });
+  // No ASSERT until the trickler is joined below: a joinable std::thread
+  // destroyed on an early return terminates the whole binary.
 
   // Meanwhile a well-behaved client gets served normally.
   auto client = HttpClient::Connect("127.0.0.1", h.server->port());
-  ASSERT_TRUE(client.ok());
-  auto response = client.ValueOrDie().Get("/find?skills=a,b");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response.ValueOrDie().status, 200);
+  Result<HttpClientResponse> response =
+      client.ok() ? client.ValueOrDie().Get("/find?skills=a,b")
+                  : Result<HttpClientResponse>(client.status());
 
-  // The loris connection must be closed by the request deadline.
+  // The loris connection must be closed by the request deadline. The server
+  // closes with trickled bytes still unread, so the loris may see an RST
+  // (ECONNRESET -> IOError) instead of a FIN: both are the eviction.
+  Status end = Status::OK();
+  bool never_evicted = false;
   char buf[256];
-  IoResult end;
   while (true) {
     auto r = ReadSome(loris.ValueOrDie(), buf, sizeof(buf));
-    ASSERT_TRUE(r.ok());
-    end = r.ValueOrDie();
-    ASSERT_FALSE(end.would_block) << "loris was never evicted";
-    if (end.eof || end.bytes == 0) break;
+    if (!r.ok()) {
+      end = r.status();
+      break;
+    }
+    if (r.ValueOrDie().would_block) {  // the 5 s socket timeout ran out
+      never_evicted = true;
+      break;
+    }
+    if (r.ValueOrDie().eof) break;
   }
   loris_dead.store(true);
   trickler.join();
   CloseFd(loris.ValueOrDie());
-  EXPECT_TRUE(end.eof);
+
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.ValueOrDie().status, 200);
+  EXPECT_FALSE(never_evicted) << "loris was never evicted";
+  EXPECT_TRUE(end.ok() || end.IsIOError()) << end.ToString();
   EXPECT_GE(h.server->stats().evicted_idle, 1u);
 }
 
@@ -281,12 +295,9 @@ TEST_F(HttpServerTest, HealthzReports503WhenDegraded) {
   FaultSpec spec;
   spec.action = FaultAction::kFailOnce;
   FaultInjection::Arm("service.applydelta.rebuild", spec);
-  DeltaMixOptions delta_mix;
-  delta_mix.count = 1;
-  delta_mix.interleave_skill_only = false;  // reweight -> rebuild path
-  const auto deltas = MakeDeltaMix(*h.svc->network(), delta_mix);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_FALSE(h.svc->ApplyDelta(deltas[0]).ok());
+  ExpertNetworkDelta reweight;  // changes every search graph: rebuild path
+  reweight.ReweightCollaboration(3, 7, 0.9);
+  EXPECT_FALSE(h.svc->ApplyDelta(reweight).ok());
   ASSERT_EQ(h.svc->health().state, HealthState::kDegraded);
 
   auto degraded = client.ValueOrDie().Get("/healthz");

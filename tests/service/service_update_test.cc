@@ -1,7 +1,8 @@
 // Dynamic-update path of TeamDiscoveryService: epoch-swapped ApplyDelta,
 // fingerprint-keyed index adoption, on-disk generation commits, and
-// concurrency with serving. Carries the smoke label so the ASan/UBSan CI
-// job runs the whole update path sanitized on every push.
+// concurrency with serving through RequestPipeline. Carries the smoke label
+// so the ASan/UBSan CI job runs the whole update path sanitized on every
+// push.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "../core/test_networks.h"
+#include "../serving/test_serving.h"
 #include "service/team_discovery_service.h"
 
 namespace teamdisc {
@@ -54,19 +56,6 @@ std::vector<TeamRequest> UpdateRequests() {
   return requests;
 }
 
-void ExpectSameResults(const std::vector<std::vector<ScoredTeam>>& a,
-                       const std::vector<std::vector<ScoredTeam>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << "request " << i;
-    for (size_t k = 0; k < a[i].size(); ++k) {
-      EXPECT_EQ(a[i][k].team.nodes, b[i][k].team.nodes);
-      EXPECT_EQ(a[i][k].proxy_cost, b[i][k].proxy_cost);
-      EXPECT_EQ(a[i][k].objective, b[i][k].objective);
-    }
-  }
-}
-
 /// A delta touching every mutation class: skills, an edge reweight, a
 /// leaving expert, and a joining expert wired into the graph.
 ExpertNetworkDelta RichDelta() {
@@ -101,14 +90,9 @@ TEST(ServiceUpdateTest, ApplyDeltaMatchesColdRebuildAt1And4Workers) {
 
   const std::vector<TeamRequest> requests = UpdateRequests();
   for (size_t workers : {size_t{1}, size_t{4}}) {
-    std::vector<std::vector<ScoredTeam>> live_results, cold_results;
-    auto live_report =
-        live->ServeBatch(requests, workers, &live_results).ValueOrDie();
-    auto cold_report =
-        cold->ServeBatch(requests, workers, &cold_results).ValueOrDie();
-    EXPECT_EQ(live_report.failures, 0u) << "workers=" << workers;
-    EXPECT_EQ(cold_report.failures, 0u);
-    ExpectSameResults(live_results, cold_results);
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    ExpectSameResults(ServeThroughPipeline(*live, requests, workers),
+                      ServeThroughPipeline(*cold, requests, workers));
   }
 }
 
@@ -228,9 +212,7 @@ TEST(ServiceUpdateTest, SequentialDeltaMixConverges) {
   const ExpertNetwork base = MediumNetwork();
   const std::string dir = MakeSnapshot("upd_mix", {0.6}, base);
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
-  DeltaMixOptions mix;
-  mix.count = 6;
-  std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(base, mix);
+  std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(base, 6);
   ExpertNetwork folded = base;
   for (const ExpertNetworkDelta& delta : deltas) {
     svc->ApplyDelta(delta).ValueOrDie();
@@ -242,11 +224,12 @@ TEST(ServiceUpdateTest, SequentialDeltaMixConverges) {
             WeightedEdgeFingerprint(folded.graph()));
 }
 
-TEST(ServiceUpdateTest, ApplyDeltaConcurrentWithServeBatchIsRaceFree) {
-  // TSan-style stress: one thread hammers ServeBatch while another applies
-  // a churn of epoch swaps. Every batch must complete without failures
-  // (each batch pins one epoch), and the final state must serve exactly
-  // like a cold rebuild of the folded network. Run under ASan/UBSan in CI.
+TEST(ServiceUpdateTest, ApplyDeltaConcurrentWithServingIsRaceFree) {
+  // TSan-style stress: one thread keeps serving request rounds through a
+  // 2-worker RequestPipeline while another applies a churn of epoch swaps.
+  // Every request must solve (each pins one epoch), and the final state
+  // must serve exactly like a cold rebuild of the folded network. Run
+  // under ASan/UBSan in CI.
   const ExpertNetwork base = MediumNetwork();
   const std::string dir = MakeSnapshot("upd_stress", {0.25, 0.6}, base);
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
@@ -258,25 +241,17 @@ TEST(ServiceUpdateTest, ApplyDeltaConcurrentWithServeBatchIsRaceFree) {
     requests.push_back(Request({"a", "b", "c", "d"}, gamma));
   }
 
-  DeltaMixOptions mix;
-  mix.count = 8;
-  std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(base, mix);
+  std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(base, 8);
 
   std::atomic<bool> updates_done{false};
-  std::atomic<uint64_t> batch_failures{0};
   std::thread server([&] {
     // Keep serving until every update has been applied, then once more so
-    // the last epoch is exercised too.
+    // the last epoch is exercised too. ServeThroughPipeline fails the test
+    // on any request that does not solve.
     do {
-      auto report = svc->ServeBatch(requests, 2);
-      if (!report.ok() || report.ValueOrDie().failures != 0) {
-        batch_failures.fetch_add(1);
-      }
+      ServeThroughPipeline(*svc, requests, 2);
     } while (!updates_done.load());
-    auto report = svc->ServeBatch(requests, 2);
-    if (!report.ok() || report.ValueOrDie().failures != 0) {
-      batch_failures.fetch_add(1);
-    }
+    ServeThroughPipeline(*svc, requests, 2);
   });
   ExpertNetwork folded = base;
   for (const ExpertNetworkDelta& delta : deltas) {
@@ -285,17 +260,14 @@ TEST(ServiceUpdateTest, ApplyDeltaConcurrentWithServeBatchIsRaceFree) {
   }
   updates_done.store(true);
   server.join();
-  EXPECT_EQ(batch_failures.load(), 0u);
   EXPECT_EQ(svc->generation(), deltas.size());
 
   // Final state == cold rebuild of the folded network, bit for bit.
   const std::string cold_dir =
       MakeSnapshot("upd_stress_cold", {0.25, 0.6}, folded);
   auto cold = TeamDiscoveryService::Open({.snapshot_dir = cold_dir}).ValueOrDie();
-  std::vector<std::vector<ScoredTeam>> live_results, cold_results;
-  svc->ServeBatch(requests, 4, &live_results).ValueOrDie();
-  cold->ServeBatch(requests, 4, &cold_results).ValueOrDie();
-  ExpectSameResults(live_results, cold_results);
+  ExpectSameResults(ServeThroughPipeline(*svc, requests, 4),
+                    ServeThroughPipeline(*cold, requests, 4));
 }
 
 }  // namespace

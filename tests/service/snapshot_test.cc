@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "network/authority_transform.h"
 #include "network/network_io.h"
+#include "service/team_discovery_service.h"
 
 namespace teamdisc {
 namespace {
@@ -18,6 +19,30 @@ std::string FreshDir(const std::string& name) {
   fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
   return dir.string();
+}
+
+/// apply-update → serve round trip: opens the updated snapshot and answers
+/// one TopK per artifact (CC for the base index, SA-CA-CC per transform
+/// gamma). Every index must load from disk — nothing is left to build.
+void ExpectServesWithoutBuilding(const std::string& dir) {
+  ServiceOptions options;
+  options.snapshot_dir = dir;
+  options.persist_built_indexes = false;
+  options.persist_updates = false;
+  auto svc = TeamDiscoveryService::Open(options).ValueOrDie();
+  const SnapshotManifest manifest = svc->manifest();
+  for (const SnapshotIndexEntry& entry : manifest.entries) {
+    TeamRequest request;
+    request.skills = {"a", "d"};
+    request.strategy =
+        entry.transformed ? RankingStrategy::kSACACC : RankingStrategy::kCC;
+    request.gamma = entry.gamma_bp / 10000.0;
+    auto teams = svc->TopK(request);
+    ASSERT_TRUE(teams.ok()) << entry.file << ": " << teams.status();
+    EXPECT_FALSE(teams.ValueOrDie().empty()) << entry.file;
+  }
+  EXPECT_EQ(svc->cache_stats().builds, 0u);
+  EXPECT_EQ(svc->cache_stats().loads, manifest.entries.size());
 }
 
 TEST(SnapshotManifestTest, SerializeParseRoundTrip) {
@@ -297,6 +322,7 @@ TEST(SnapshotTest, ApplySnapshotDeltaKeepsUnchangedArtifacts) {
                                 reloaded.graph())
                   .ValueOrDie();
   EXPECT_NE(base, nullptr);
+  ExpectServesWithoutBuilding(dir);
 }
 
 TEST(SnapshotTest, ApplySnapshotDeltaRebuildsChangedArtifacts) {
@@ -329,6 +355,7 @@ TEST(SnapshotTest, ApplySnapshotDeltaRebuildsChangedArtifacts) {
   EXPECT_EQ(report2.generation, 2u);
   EXPECT_TRUE(std::filesystem::exists(dir + "/network-g2.net"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/network-g1.net"));
+  ExpectServesWithoutBuilding(dir);
 }
 
 TEST(SnapshotTest, ApplySnapshotDeltaRejectsInvalidDelta) {

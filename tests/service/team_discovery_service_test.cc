@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "../core/test_networks.h"
+#include "../serving/test_serving.h"
 
 namespace teamdisc {
 namespace {
@@ -120,8 +121,10 @@ TEST(TeamDiscoveryServiceTest, WarmAndColdIndexesAnswerIdentically) {
   }
 }
 
-TEST(TeamDiscoveryServiceTest, ServeBatchBitIdenticalAcrossWorkerCounts) {
-  const std::string dir = MakeSnapshot("svc_batch", {0.2, 0.6, 0.9});
+TEST(TeamDiscoveryServiceTest, PipelineBitIdenticalAcrossWorkerCounts) {
+  // Determinism contract on the serving path: the same requests through
+  // RequestPipeline at 1 and at 4 dispatch workers answer bit-identically.
+  const std::string dir = MakeSnapshot("svc_workers", {0.2, 0.6, 0.9});
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
   std::vector<TeamRequest> requests;
   const std::vector<std::vector<std::string>> skill_sets = {
@@ -133,64 +136,15 @@ TEST(TeamDiscoveryServiceTest, ServeBatchBitIdenticalAcrossWorkerCounts) {
       }
     }
   }
-  std::vector<std::vector<ScoredTeam>> at1, at4;
-  auto report1 = svc->ServeBatch(requests, 1, &at1).ValueOrDie();
-  auto report4 = svc->ServeBatch(requests, 4, &at4).ValueOrDie();
-  EXPECT_EQ(report1.requests, requests.size());
-  EXPECT_EQ(report1.solved, report4.solved);
-  EXPECT_EQ(report1.infeasible, report4.infeasible);
-  EXPECT_EQ(report1.failures, 0u);
-  ASSERT_EQ(at1.size(), at4.size());
+  ASSERT_EQ(requests.size(), 30u);
+  const auto at1 = ServeThroughPipeline(*svc, requests, 1);
+  const auto at4 = ServeThroughPipeline(*svc, requests, 4);
+  ExpectSameResults(at1, at4);
   for (size_t i = 0; i < at1.size(); ++i) {
-    ASSERT_EQ(at1[i].size(), at4[i].size()) << "request " << i;
-    for (size_t k = 0; k < at1[i].size(); ++k) {
-      EXPECT_EQ(at1[i][k].team.nodes, at4[i][k].team.nodes);
-      EXPECT_EQ(at1[i][k].proxy_cost, at4[i][k].proxy_cost);
-      EXPECT_EQ(at1[i][k].objective, at4[i][k].objective);
-    }
+    EXPECT_FALSE(at1[i].empty()) << "request " << i << " found no team";
   }
-  // All three gammas were pre-built: the whole batch ran without a build.
+  // All three gammas were pre-built: nothing ran a build.
   EXPECT_EQ(svc->cache_stats().builds, 0u);
-}
-
-TEST(TeamDiscoveryServiceTest, ServeBatchCountsFailuresAndInfeasible) {
-  const std::string dir = MakeSnapshot("svc_failures", {0.6});
-  auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
-  std::vector<TeamRequest> requests;
-  requests.push_back(Request({"a"}, 0.6));              // fine
-  requests.push_back(Request({"no_such_skill"}, 0.6));  // hard failure
-  requests.push_back(Request({"a"}, 2.5));              // invalid gamma
-  std::vector<std::vector<ScoredTeam>> results;
-  auto report = svc->ServeBatch(requests, 2, &results).ValueOrDie();
-  EXPECT_EQ(report.solved, 1u);
-  EXPECT_EQ(report.failures, 2u);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].empty());
-  EXPECT_TRUE(results[1].empty());
-  EXPECT_TRUE(results[2].empty());
-  EXPECT_GT(report.qps, 0.0);
-  EXPECT_GE(report.p99_ms, report.p50_ms);
-}
-
-// Regression: an empty batch used to fall through to `latencies.back()` on
-// an empty vector (UB caught under ASan). It now reports all-zeroes and
-// clears the results sink instead of touching it.
-TEST(TeamDiscoveryServiceTest, ServeBatchEmptyYieldsZeroedReport) {
-  const std::string dir = MakeSnapshot("svc_empty_batch", {0.6});
-  auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
-  std::vector<std::vector<ScoredTeam>> results(3);  // stale entries
-  auto report = svc->ServeBatch({}, 4, &results).ValueOrDie();
-  EXPECT_EQ(report.requests, 0u);
-  EXPECT_EQ(report.solved, 0u);
-  EXPECT_EQ(report.infeasible, 0u);
-  EXPECT_EQ(report.failures, 0u);
-  EXPECT_DOUBLE_EQ(report.p50_ms, 0.0);
-  EXPECT_DOUBLE_EQ(report.p99_ms, 0.0);
-  EXPECT_DOUBLE_EQ(report.max_ms, 0.0);
-  EXPECT_DOUBLE_EQ(report.qps, 0.0);
-  EXPECT_TRUE(results.empty());
-  // Null results sink is equally fine.
-  EXPECT_TRUE(svc->ServeBatch({}, 1, nullptr).ok());
 }
 
 TEST(TeamDiscoveryServiceTest, ParetoServesFront) {

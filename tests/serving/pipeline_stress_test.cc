@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "../core/test_networks.h"
-#include "serving/request_pipeline.h"
+#include "../serving/test_serving.h"
 
 namespace teamdisc {
 namespace {
@@ -81,9 +81,7 @@ TEST(PipelineStressTest, SubmittersCancellersAndEpochSwapsRaceCleanly) {
   // Live churn: alternating skill-only and reweight deltas swap the epoch
   // under the in-flight requests.
   std::thread updater([&] {
-    DeltaMixOptions mix;
-    mix.count = 6;
-    std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(net, mix);
+    std::vector<ExpertNetworkDelta> deltas = MakeDeltaMix(net, 6);
     for (const ExpertNetworkDelta& delta : deltas) {
       TD_CHECK_OK(svc->ApplyDelta(delta).status());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -224,6 +224,59 @@ TEST(RequestPipelineTest, InFlightRequestCompletesAcrossEpochSwap) {
   EXPECT_TRUE(after.Wait().ok());
 }
 
+TEST(RequestPipelineTest, HandleReportsTheEpochThatSolvedIt) {
+  // A remove-expert delta compacts expert ids, so an answer rendered against
+  // the *current* network after a swap would name the wrong experts. The
+  // handle must keep reporting the generation and network that solved it,
+  // even when the swap lands between the solve and the read.
+  const std::string dir = MakeSnapshot("pipe_epoch", {0.6});
+  ServiceOptions svc_options;
+  svc_options.snapshot_dir = dir;
+  svc_options.persist_updates = false;
+  svc_options.persist_built_indexes = false;
+  auto svc = TeamDiscoveryService::Open(svc_options).ValueOrDie();
+  const std::shared_ptr<const ExpertNetwork> solved_net = svc->network();
+  const uint64_t solved_generation = svc->generation();
+
+  PipelineOptions options;
+  options.workers = 1;
+  options.queue_capacity = 4;
+  auto pipeline = RequestPipeline::Start(*svc, options).ValueOrDie();
+  // Written on the dispatch worker, read after Shutdown() joined it.
+  std::vector<std::string> seen_names;
+  EpochRef seen;
+  SubmitOptions submit;
+  submit.on_complete = [&](const ResponseHandle& handle) {
+    ExpertNetworkDelta delta;
+    delta.RemoveExpert(0);  // every later expert id shifts down by one
+    TD_CHECK_OK(svc->ApplyDelta(delta).status());
+    seen = handle.epoch();
+    if (!handle.Wait().ok()) return;  // the ASSERT below reports it
+    for (NodeId v : handle.Wait().ValueOrDie()[0].team.nodes) {
+      seen_names.push_back(seen.network->expert(v).name);
+    }
+  };
+  auto handle = pipeline->Submit(Request({"b", "d"}), submit).ValueOrDie();
+  const auto& result = handle.Wait();
+  ASSERT_TRUE(result.ok()) << result.status();
+  pipeline->Shutdown();  // joins the worker: on_complete has run
+
+  EXPECT_EQ(svc->generation(), solved_generation + 1);
+  EXPECT_EQ(seen.generation, solved_generation);
+  EXPECT_EQ(seen.network, solved_net);
+  const std::vector<NodeId>& members = result.ValueOrDie()[0].team.nodes;
+  ASSERT_EQ(seen_names.size(), members.size());
+  bool renamed = false;
+  for (size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(seen_names[i], solved_net->expert(members[i]).name);
+    const ExpertNetwork& current = *svc->network();
+    renamed |= members[i] >= current.num_experts() ||
+               current.expert(members[i]).name != seen_names[i];
+  }
+  EXPECT_TRUE(renamed) << "the current network must name the ids differently, "
+                          "or this test checks nothing";
+}
+
 TEST(RequestPipelineTest, MetricsCountersMatchOutcomesExactly) {
   const std::string dir = MakeSnapshot("pipe_counters", {0.6});
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
@@ -240,6 +293,7 @@ TEST(RequestPipelineTest, MetricsCountersMatchOutcomesExactly) {
   std::vector<ResponseHandle> handles;
   handles.push_back(pipeline->Submit(Request({"b", "d"})).ValueOrDie());  // solves
   handles.push_back(pipeline->Submit(Request({"nope"})).ValueOrDie());   // fails
+  handles.push_back(pipeline->Submit(Request({"b"}, 2.5)).ValueOrDie());  // bad gamma
   SubmitOptions expiring;
   expiring.deadline_ms = 5.0;
   handles.push_back(pipeline->Submit(Request({"c"}), expiring).ValueOrDie());
@@ -253,20 +307,24 @@ TEST(RequestPipelineTest, MetricsCountersMatchOutcomesExactly) {
   plug.Wait();
   pipeline->Shutdown();
 
+  // The out-of-range gamma is a hard failure, not an infeasible answer.
+  EXPECT_TRUE(handles[2].Wait().status().IsInvalidArgument())
+      << handles[2].Wait().status();
+
   MetricsRegistry& m = pipeline->metrics();
-  EXPECT_EQ(m.counter("serve.submitted").value(), 5u);
-  EXPECT_EQ(m.counter("serve.admitted").value(), 5u);
+  EXPECT_EQ(m.counter("serve.submitted").value(), 6u);
+  EXPECT_EQ(m.counter("serve.admitted").value(), 6u);
   EXPECT_EQ(m.counter("serve.shed").value(), 0u);
   EXPECT_EQ(m.counter("serve.solved").value(), 2u);
-  EXPECT_EQ(m.counter("serve.failed").value(), 1u);
+  EXPECT_EQ(m.counter("serve.failed").value(), 2u);
   EXPECT_EQ(m.counter("serve.expired").value(), 1u);
   EXPECT_EQ(m.counter("serve.cancelled").value(), 1u);
   EXPECT_EQ(m.counter("serve.infeasible").value(), 0u);
   EXPECT_DOUBLE_EQ(m.gauge("serve.queue_depth").value(), 0.0);
   // Every admitted request passed through exactly one e2e observation.
-  EXPECT_EQ(m.histogram("serve.e2e_us").snapshot().count, 5u);
-  // Only the two solves and the hard failure ran a solve.
-  EXPECT_EQ(m.histogram("serve.solve_us").snapshot().count, 3u);
+  EXPECT_EQ(m.histogram("serve.e2e_us").snapshot().count, 6u);
+  // Only the two solves and the two hard failures ran a solve.
+  EXPECT_EQ(m.histogram("serve.solve_us").snapshot().count, 4u);
 
   // The admin dump reflects the same counters and folds in cache stats.
   const std::string json = pipeline->MetricsJson();

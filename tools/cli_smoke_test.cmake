@@ -1,8 +1,10 @@
 # End-to-end smoke test for teamdisc_cli, run via `cmake -P` so it works on
 # any platform ctest runs on. Drives: generate -> info -> skills -> find ->
-# pareto -> build-index -> apply-update -> serve-bench (closed- and
-# open-loop) -> serve on a tiny synthetic network, checking exit codes and
-# output shape, plus the unknown-flag rejection path.
+# pareto -> build-index -> apply-update on a tiny synthetic network, checking
+# exit codes and output shape, plus the rejection paths for unknown flags,
+# malformed flag values and `serve` without --listen. That the updated
+# snapshot then serves with 0 index builds is checked in snapshot_test; the
+# listening server is covered by http_server_test and server_drain_test.
 #
 # Required -D variables: TEAMDISC_CLI (path to binary), WORK_DIR (scratch dir).
 
@@ -92,6 +94,11 @@ run_cli_expect_fail(2 "unknown flag --gama" find "${NET}" "--skills=${SKILL}" --
 run_cli_expect_fail(2 "valid flags: .*--gamma" find "${NET}" "--skills=${SKILL}" --gama=0.5)
 run_cli_expect_fail(2 "unknown flag --expert" generate "${WORK_DIR}/x.net" --expert=5)
 run_cli_expect_fail(2 "this command takes no flags" info "${NET}" --verbose)
+# Malformed values are rejected the same way, naming the flag — never run
+# with the default (gamma 0.6, top-k 1, the PLL oracle).
+run_cli_expect_fail(2 "bad value for --gamma" find "${NET}" "--skills=${SKILL}" --gamma=abc)
+run_cli_expect_fail(2 "bad value for --top-k" find "${NET}" "--skills=${SKILL}" --top-k=x)
+run_cli_expect_fail(2 "unknown oracle 'bogus'" find "${NET}" "--skills=${SKILL}" --oracle=bogus)
 
 # 7. build-index: writes a serving snapshot with fingerprinted artifacts.
 run_cli("wrote snapshot .*2 index artifact" build-index "${NET}" "${SNAP}" --gammas=0.6)
@@ -103,9 +110,9 @@ if(NOT EXISTS "${SNAP}/index-g6000-pll.pll")
 endif()
 run_cli_expect_fail(2 "unknown flag --gama" build-index "${NET}" "${SNAP}" --gama=0.6)
 
-# 8. apply-update: build-index -> apply-update -> serve must round-trip on
-# disk. A skill-only delta keeps every artifact (0 rebuilt) and bumps the
-# manifest generation; the versioned network file replaces the original.
+# 8. apply-update: build-index -> apply-update must round-trip on disk. A
+# skill-only delta keeps every artifact (0 rebuilt) and bumps the manifest
+# generation; the versioned network file replaces the original.
 file(WRITE "${WORK_DIR}/update.delta" "teamdisc-delta v1\nadd-skill 0 smoke-churn\n")
 run_cli("now generation 1" apply-update "${SNAP}" "${WORK_DIR}/update.delta")
 run_cli_expect_fail(1 "" apply-update "${SNAP}" "${WORK_DIR}/no-such.delta")
@@ -122,61 +129,10 @@ if(NOT rc EQUAL 0 OR NOT APPLY_OUT MATCHES "2 kept .* 0 rebuilt")
   message(FATAL_ERROR "revoke apply-update should keep both artifacts:\n${APPLY_OUT}")
 endif()
 
-# 9. serve-bench: answers every request off the updated snapshot (0 builds)
-# and reports QPS + latency percentiles, persisted as JSON. --updates drives
-# live epoch swaps while the batch runs.
-run_cli("qps [0-9]" serve-bench "${SNAP}" --requests=24 --workers=2
-        "--out=${WORK_DIR}/BENCH_serve.json")
-run_cli("0 builds" serve-bench "${SNAP}" --requests=24 --workers=2
-        "--out=${WORK_DIR}/BENCH_serve.json")
-if(NOT EXISTS "${WORK_DIR}/BENCH_serve.json")
-  message(FATAL_ERROR "serve-bench did not write BENCH_serve.json")
-endif()
-file(READ "${WORK_DIR}/BENCH_serve.json" SERVE_JSON)
-foreach(field qps p50_ms p99_ms "\"builds\": 0")
-  if(NOT SERVE_JSON MATCHES "${field}")
-    message(FATAL_ERROR "BENCH_serve.json missing ${field}:\n${SERVE_JSON}")
-  endif()
-endforeach()
-# Mixed read/write mode: live epoch swaps while the batch serves; the JSON
-# gains the update block (churn latency + adopt/rebuild counts).
-run_cli("updates: 2 applied, 0 failed" serve-bench "${SNAP}" --requests=24
-        --workers=2 --updates=2 "--out=${WORK_DIR}/BENCH_serve_updates.json")
-file(READ "${WORK_DIR}/BENCH_serve_updates.json" UPDATE_JSON)
-foreach(field "\"applied\": 2" "\"failed\": 0" entries_adopted entries_rebuilt)
-  if(NOT UPDATE_JSON MATCHES "${field}")
-    message(FATAL_ERROR "BENCH_serve_updates.json missing ${field}:\n${UPDATE_JSON}")
-  endif()
-endforeach()
-run_cli_expect_fail(2 "unknown flag --worker\n" serve-bench "${SNAP}" --worker=2)
-
-# 10. Open-loop mode: arrivals on a fixed schedule through the async
-# pipeline; the JSON report carries the offered/admitted/shed accounting and
-# embeds the metrics-registry dump.
-run_cli("open loop: offered" serve-bench "${SNAP}" --requests=16 --workers=2
-        --arrival-qps=200 --arrival=fixed --queue-cap=8
-        "--out=${WORK_DIR}/BENCH_serve_open.json")
-file(READ "${WORK_DIR}/BENCH_serve_open.json" OPEN_JSON)
-foreach(field "\"mode\": \"open-loop\"" "\"offered\": 16" queue_depth_peak
-        "\"metrics\":" "serve.submitted")
-  if(NOT OPEN_JSON MATCHES "${field}")
-    message(FATAL_ERROR "BENCH_serve_open.json missing ${field}:\n${OPEN_JSON}")
-  endif()
-endforeach()
-run_cli_expect_fail(2 "--arrival must be" serve-bench "${SNAP}"
-                    --arrival-qps=10 --arrival=bursty)
-
-# 11. serve: one-shot admin dump of the pipeline metrics registry.
-run_cli("\"serve.solved\"" serve "${SNAP}" --requests=8 --workers=2)
-run_cli("" serve "${SNAP}" --requests=8
-        "--metrics-out=${WORK_DIR}/metrics.json")
-file(READ "${WORK_DIR}/metrics.json" METRICS_JSON)
-foreach(field "\"counters\"" "\"serve.admitted\": 8" "cache.resident_bytes"
-        "serve.e2e_us")
-  if(NOT METRICS_JSON MATCHES "${field}")
-    message(FATAL_ERROR "metrics.json missing ${field}:\n${METRICS_JSON}")
-  endif()
-endforeach()
-run_cli_expect_fail(2 "unknown flag --requets" serve "${SNAP}" --requets=8)
+# 9. serve is the HTTP server only: without --listen it exits 2 with usage,
+# and its flags are checked like every other command's.
+run_cli_expect_fail(2 "usage: teamdisc_cli serve" serve "${SNAP}")
+run_cli_expect_fail(2 "unknown flag --requests" serve "${SNAP}" --requests=8)
+run_cli_expect_fail(2 "bad value for --workers" serve "${SNAP}" --listen=:0 --workers=two)
 
 message(STATUS "cli_smoke passed")

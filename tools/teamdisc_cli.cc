@@ -28,90 +28,46 @@
 //       keeps the rest, and commits the post-delta network under a bumped
 //       manifest generation.
 //
-//   teamdisc_cli serve-bench <snapshot-dir> [--requests=200] [--workers=4]
-//       [--skills-per-request=3] [--top-k=1] [--lambda=0.6] [--seed=42]
-//       [--budget-mb=0] [--updates=0] [--update-seed=7]
-//       [--inject-update-failures=0] [--arrival-qps=0]
-//       [--arrival=poisson|fixed] [--deadline-ms=0]
-//       [--queue-cap=0] [--out=BENCH_serve.json]
-//       Request driver against a snapshot-backed TeamDiscoveryService;
-//       reports QPS and latency percentiles and writes them as JSON.
-//       Default is the closed-loop batch (workers start the next solve the
-//       moment the previous finishes). With --arrival-qps=R the driver goes
-//       open-loop through the async RequestPipeline: requests arrive on a
-//       Poisson (or fixed-interval) schedule at rate R regardless of
-//       completion, so reported latency includes queue wait, and overload
-//       shows up as load shedding + deadline expiry instead of silently
-//       slower arrivals. With --updates=K, K network deltas (skill churn +
-//       edge reweights) are applied live via epoch swaps while the
-//       requests run, measuring serving latency under churn. With
-//       --inject-update-failures=J (requires --updates>0), the first J
-//       swaps fail at the rebuild fault point, driving the service through
-//       DEGRADED and back; the report records tail latency and health
-//       counters while the old epoch rides through.
-//
-//   teamdisc_cli serve <snapshot-dir> [--requests=64] [--workers=0]
-//       [--queue-cap=0] [--deadline-ms=0] [--seed=42] [--budget-mb=0]
-//       [--metrics-out=FILE]
-//       One-shot admin surface for the async pipeline: starts it over the
-//       snapshot, plays a short request mix through it, and dumps the
-//       metrics registry (serve.* counters/histograms + cache.* gauges) as
-//       JSON to stdout or --metrics-out.
-//
 //   teamdisc_cli serve <snapshot-dir> --listen=HOST:PORT [--workers=0]
 //       [--queue-cap=0] [--deadline-ms=0] [--budget-mb=0] [--max-conns=0]
 //       [--idle-timeout-ms=0] [--request-timeout-ms=0]
 //       [--write-timeout-ms=0] [--drain-ms=0]
-//       Long-running mode: the epoll HTTP front-end over the same pipeline.
-//       Serves GET/POST /find, GET /healthz, GET /metrics until SIGTERM or
-//       SIGINT, then drains gracefully (stops accepting, finishes in-flight
+//       The epoll HTTP front-end over the async request pipeline. Serves
+//       GET/POST /find, GET /healthz, GET /metrics until SIGTERM or SIGINT,
+//       then drains gracefully (stops accepting, finishes in-flight
 //       requests within --drain-ms) and exits 0. --listen=:0 picks an
 //       ephemeral port (printed on startup). Zero-valued knobs resolve the
-//       TEAMDISC_LISTEN_* environment variables (docs/CONFIG.md).
+//       TEAMDISC_LISTEN_* / TEAMDISC_SERVE_* environment variables
+//       (docs/CONFIG.md). How fast /find is gets measured by
+//       `python3 perfbench/run.py` (perfbench/README.md).
 //
-//   teamdisc_cli serve-bench <snapshot-dir> --remote [--conns=4] ...
-//       Loopback remote driver: starts the HTTP front-end on an ephemeral
-//       port and drives the request mix over real sockets from --conns
-//       closed-loop keep-alive connections, so the measured latency includes
-//       the full network boundary (parse, route, queue, solve, serialize,
-//       write). Reports qps/p50/p99 plus server-side shed and writes a
-//       "remote-loopback" BENCH_serve.json entry.
-//
-// Unknown --flags are rejected with exit code 2 (listing the valid ones),
-// so a typo'd --gama=0.5 can never silently run with the default gamma.
-// docs/CONFIG.md carries the full subcommand/flag and env-var reference.
+// Unknown --flags, and numeric flags whose value does not parse, are
+// rejected with exit code 2 naming the flag, so neither a typo'd
+// --gama=0.5 nor a malformed --gamma=abc can silently run with the default
+// gamma. docs/CONFIG.md carries the full subcommand/flag and env-var
+// reference.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/fault_injection.h"
-#include "net/http_client.h"
-#include "net/http_server.h"
-#include "common/random.h"
-#include "common/stats.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "core/greedy_team_finder.h"
 #include "core/objectives.h"
 #include "core/pareto.h"
 #include "datagen/synthetic_dblp.h"
 #include "eval/table_printer.h"
 #include "graph/graph_algos.h"
+#include "net/http_server.h"
 #include "network/network_io.h"
-#include "service/team_discovery_service.h"
-#include "serving/request_pipeline.h"
 
 namespace teamdisc {
 namespace {
 
-/// Parsed --key=value flags plus positional arguments.
+/// Parsed --key=value flags plus positional arguments. The typed getters
+/// only ever see values CheckFlags already parsed, so a present flag never
+/// falls back to the default.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -122,16 +78,19 @@ struct Args {
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    auto parsed = ParseDouble(it->second);
-    return parsed.ok() ? parsed.ValueOrDie() : fallback;
+    return it == flags.end() ? fallback : ParseDouble(it->second).ValueOrDie();
   }
   uint64_t GetUint(const std::string& key, uint64_t fallback) const {
     auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    auto parsed = ParseUint64(it->second);
-    return parsed.ok() ? parsed.ValueOrDie() : fallback;
+    return it == flags.end() ? fallback : ParseUint64(it->second).ValueOrDie();
   }
+};
+
+/// A flag a command accepts, and what its value must parse as.
+struct Flag {
+  enum Type { kText, kUint, kDouble };
+  std::string name;
+  Type type = kText;
 };
 
 Args ParseArgs(int argc, char** argv) {
@@ -157,24 +116,38 @@ Args ParseArgs(int argc, char** argv) {
 int Usage() {
   std::fprintf(stderr,
                "usage: teamdisc_cli <generate|info|skills|find|pareto|"
-               "build-index|apply-update|serve-bench|serve> ...\n"
+               "build-index|apply-update|serve> ...\n"
                "see docs/CONFIG.md or the header of tools/teamdisc_cli.cc "
                "for details\n");
   return 2;
 }
 
-/// Rejects flags the command does not know (exit 2, listing the valid
-/// ones): a typo'd --gama=0.5 must fail loudly, not run with the default.
-/// Returns 0 when all flags are known.
-int RejectUnknownFlags(const Args& args,
-                       const std::vector<std::string>& known) {
+/// Rejects flags the command does not know (listing the valid ones) and
+/// numeric flags whose value does not parse (naming the flag), both with
+/// exit 2: a typo'd --gama=0.5 or a malformed --gamma=abc must fail loudly,
+/// not run with the default. Returns 0 when every flag is known and
+/// well-formed.
+int CheckFlags(const Args& args, const std::vector<Flag>& known) {
   std::vector<std::string> unknown;
+  int rc = 0;
   for (const auto& [key, value] : args.flags) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
+    auto it = std::find_if(known.begin(), known.end(),
+                           [&key](const Flag& f) { return f.name == key; });
+    if (it == known.end()) {
       unknown.push_back(key);
+      continue;
+    }
+    const Status parsed =
+        it->type == Flag::kUint     ? ParseUint64(value).status()
+        : it->type == Flag::kDouble ? ParseDouble(value).status()
+                                    : Status::OK();
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad value for --%s: %s\n", key.c_str(),
+                   parsed.ToString().c_str());
+      rc = 2;
     }
   }
-  if (unknown.empty()) return 0;
+  if (unknown.empty()) return rc;
   for (const std::string& key : unknown) {
     std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
   }
@@ -182,9 +155,9 @@ int RejectUnknownFlags(const Args& args,
     std::fprintf(stderr, "this command takes no flags\n");
   } else {
     std::string list;
-    for (const std::string& key : known) {
+    for (const Flag& flag : known) {
       if (!list.empty()) list += ", ";
-      list += "--" + key;
+      list += "--" + flag.name;
     }
     std::fprintf(stderr, "valid flags: %s\n", list.c_str());
   }
@@ -214,7 +187,11 @@ Result<Project> ParseSkills(const ExpertNetwork& net, const Args& args) {
 }
 
 int CmdGenerate(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {"experts", "edges", "seed"})) return rc;
+  if (int rc = CheckFlags(args, {{"experts", Flag::kUint},
+                                 {"edges", Flag::kUint},
+                                 {"seed", Flag::kUint}})) {
+    return rc;
+  }
   if (args.positional.size() < 2) return Usage();
   DblpConfig config;
   config.num_authors = static_cast<uint32_t>(args.GetUint("experts", 4000));
@@ -238,7 +215,7 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdInfo(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {})) return rc;
+  if (int rc = CheckFlags(args, {})) return rc;
   auto net = Load(args);
   if (!net.ok()) {
     std::fprintf(stderr, "%s\n", net.status().ToString().c_str());
@@ -265,7 +242,7 @@ int CmdInfo(const Args& args) {
 }
 
 int CmdSkills(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {"min-holders"})) return rc;
+  if (int rc = CheckFlags(args, {{"min-holders", Flag::kUint}})) return rc;
   auto net = Load(args);
   if (!net.ok()) {
     std::fprintf(stderr, "%s\n", net.status().ToString().c_str());
@@ -285,8 +262,12 @@ int CmdSkills(const Args& args) {
 }
 
 int CmdFind(const Args& args) {
-  if (int rc = RejectUnknownFlags(
-          args, {"skills", "strategy", "gamma", "lambda", "top-k", "oracle"})) {
+  if (int rc = CheckFlags(args, {{"skills"},
+                                 {"strategy"},
+                                 {"gamma", Flag::kDouble},
+                                 {"lambda", Flag::kDouble},
+                                 {"top-k", Flag::kUint},
+                                 {"oracle"}})) {
     return rc;
   }
   auto net = Load(args);
@@ -315,9 +296,16 @@ int CmdFind(const Args& args) {
   options.params.gamma = args.GetDouble("gamma", 0.6);
   options.params.lambda = args.GetDouble("lambda", 0.6);
   options.top_k = static_cast<uint32_t>(args.GetUint("top-k", 1));
-  options.oracle = args.Get("oracle", "pll") == "dijkstra"
-                       ? OracleKind::kDijkstra
-                       : OracleKind::kPrunedLandmarkLabeling;
+  const std::string oracle = args.Get("oracle", "pll");
+  if (oracle == "pll") {
+    options.oracle = OracleKind::kPrunedLandmarkLabeling;
+  } else if (oracle == "dijkstra") {
+    options.oracle = OracleKind::kDijkstra;
+  } else {
+    std::fprintf(stderr, "unknown oracle '%s' (pll|dijkstra)\n",
+                 oracle.c_str());
+    return 2;
+  }
   auto finder = GreedyTeamFinder::Make(n, options);
   if (!finder.ok()) {
     std::fprintf(stderr, "%s\n", finder.status().ToString().c_str());
@@ -340,7 +328,7 @@ int CmdFind(const Args& args) {
 }
 
 int CmdPareto(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {"skills", "grid"})) return rc;
+  if (int rc = CheckFlags(args, {{"skills"}, {"grid", Flag::kUint}})) return rc;
   auto net = Load(args);
   if (!net.ok()) {
     std::fprintf(stderr, "%s\n", net.status().ToString().c_str());
@@ -371,7 +359,8 @@ int CmdPareto(const Args& args) {
 }
 
 int CmdBuildIndex(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {"gammas", "no-base", "threads"})) {
+  if (int rc = CheckFlags(
+          args, {{"gammas"}, {"no-base"}, {"threads", Flag::kUint}})) {
     return rc;
   }
   if (args.positional.size() < 3) {
@@ -423,7 +412,7 @@ int CmdBuildIndex(const Args& args) {
 }
 
 int CmdApplyUpdate(const Args& args) {
-  if (int rc = RejectUnknownFlags(args, {"threads"})) return rc;
+  if (int rc = CheckFlags(args, {{"threads", Flag::kUint}})) return rc;
   if (args.positional.size() < 3) {
     std::fprintf(stderr,
                  "usage: teamdisc_cli apply-update <snapshot-dir> <delta-file> "
@@ -456,44 +445,6 @@ int CmdApplyUpdate(const Args& args) {
   return 0;
 }
 
-/// Percent-encodes a query-string component (RFC 3986 unreserved set kept).
-std::string UrlEncodeComponent(std::string_view s) {
-  static const char* hex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    const bool unreserved = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                            c == '.' || c == '~';
-    if (unreserved) {
-      out.push_back(static_cast<char>(c));
-    } else {
-      out.push_back('%');
-      out.push_back(hex[c >> 4]);
-      out.push_back(hex[c & 0xf]);
-    }
-  }
-  return out;
-}
-
-/// The /find query string for a TeamRequest, mirroring the server's parser.
-std::string FindTarget(const TeamRequest& request) {
-  std::string skills;
-  for (const std::string& skill : request.skills) {
-    if (!skills.empty()) skills += ",";
-    skills += UrlEncodeComponent(skill);
-  }
-  const char* strategy = request.strategy == RankingStrategy::kCC      ? "cc"
-                         : request.strategy == RankingStrategy::kCACC ? "cacc"
-                                                                      : "sacacc";
-  const char* oracle =
-      request.oracle == OracleKind::kDijkstra ? "dijkstra" : "pll";
-  return StrFormat("/find?skills=%s&strategy=%s&gamma=%.6f&lambda=%.6f"
-                   "&top_k=%u&oracle=%s",
-                   skills.c_str(), strategy, request.gamma, request.lambda,
-                   request.top_k, oracle);
-}
-
 /// Parses --listen=HOST:PORT (":PORT" and bare "PORT" bind 127.0.0.1;
 /// port 0 = ephemeral). Returns false and prints on malformed input.
 bool ParseListenAddress(const std::string& listen, HttpServerOptions* opts) {
@@ -513,607 +464,36 @@ bool ParseListenAddress(const std::string& listen, HttpServerOptions* opts) {
   return true;
 }
 
-int CmdServeBench(const Args& args) {
-  if (int rc = RejectUnknownFlags(
-          args, {"requests", "workers", "skills-per-request", "top-k", "lambda",
-                 "seed", "budget-mb", "updates", "update-seed", "arrival-qps",
-                 "arrival", "deadline-ms", "queue-cap", "out",
-                 "inject-update-failures", "remote", "conns"})) {
-    return rc;
-  }
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: teamdisc_cli serve-bench <snapshot-dir> [flags]\n");
-    return 2;
-  }
-  const double arrival_qps = args.GetDouble("arrival-qps", 0.0);
-  const std::string arrival = args.Get("arrival", "poisson");
-  if (arrival != "poisson" && arrival != "fixed") {
-    std::fprintf(stderr, "--arrival must be 'poisson' or 'fixed'\n");
-    return 2;
-  }
-  const bool remote = args.flags.count("remote") > 0;
-  if (remote && (arrival_qps > 0.0 || args.GetUint("updates", 0) > 0)) {
-    std::fprintf(stderr,
-                 "--remote is a closed-loop socket driver; it does not "
-                 "combine with --arrival-qps or --updates\n");
-    return 2;
-  }
-  ServiceOptions options;
-  options.snapshot_dir = args.positional[1];
-  options.cache_budget_bytes =
-      static_cast<size_t>(args.GetUint("budget-mb", 0)) * (size_t{1} << 20);
-  const size_t updates = static_cast<size_t>(args.GetUint("updates", 0));
-  const size_t inject_update_failures =
-      static_cast<size_t>(args.GetUint("inject-update-failures", 0));
-  if (inject_update_failures > 0 && updates == 0) {
-    std::fprintf(stderr,
-                 "--inject-update-failures needs --updates>0 (there must be "
-                 "live swaps to fail)\n");
-    return 2;
-  }
-  if (updates > 0) {
-    // A benchmark must be rerunnable: churn-mode epoch swaps stay in
-    // memory. Committing them would mutate the snapshot (generation bumps,
-    // toggled churn skills), making a second --updates run fail its deltas
-    // against the already-churned network; persisting rebuilt artifacts
-    // without the network commit would leave the on-disk manifest pointing
-    // at post-delta fingerprints the pre-delta network cannot satisfy.
-    options.persist_updates = false;
-    options.persist_built_indexes = false;
-  }
-  auto service = TeamDiscoveryService::Open(options);
-  if (!service.ok()) {
-    std::fprintf(stderr, "cannot open snapshot: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
-  TeamDiscoveryService& svc = *service.ValueOrDie();
-  const std::shared_ptr<const ExpertNetwork> net = svc.network();
-  if (net->num_skills() == 0) {
-    std::fprintf(stderr, "snapshot network has no skills to query\n");
-    return 1;
-  }
-
-  const size_t workers = static_cast<size_t>(args.GetUint("workers", 4));
-  RequestMixOptions mix;
-  mix.count = static_cast<size_t>(args.GetUint("requests", 200));
-  mix.skills_per_request =
-      static_cast<uint32_t>(args.GetUint("skills-per-request", 3));
-  mix.lambda = args.GetDouble("lambda", 0.6);
-  mix.top_k = static_cast<uint32_t>(args.GetUint("top-k", 1));
-  mix.seed = args.GetUint("seed", 42);
-  const uint32_t skills_per_request = mix.skills_per_request;
-  std::vector<TeamRequest> requests =
-      MakeRequestMix(*net, svc.manifest(), mix);
-
-  // Remote loopback mode: the same request mix, but driven over real
-  // sockets through the epoll HTTP front-end, so the measured latency is
-  // the whole boundary — parse, route, queue, solve, serialize, write —
-  // and overload surfaces as HTTP 503s the client actually sees.
-  if (remote) {
-    PipelineOptions popt;
-    popt.workers = workers;
-    popt.queue_capacity = static_cast<size_t>(args.GetUint("queue-cap", 0));
-    popt.default_deadline_ms = args.GetDouble("deadline-ms", 0.0);
-    auto started = RequestPipeline::Start(svc, popt);
-    if (!started.ok()) {
-      std::fprintf(stderr, "cannot start pipeline: %s\n",
-                   started.status().ToString().c_str());
-      return 1;
-    }
-    RequestPipeline& pipeline = *started.ValueOrDie();
-    HttpServerOptions sopt;  // 127.0.0.1, ephemeral port
-    auto server_r = HttpServer::Start(svc, pipeline, sopt);
-    if (!server_r.ok()) {
-      std::fprintf(stderr, "cannot start server: %s\n",
-                   server_r.status().ToString().c_str());
-      return 1;
-    }
-    HttpServer& server = *server_r.ValueOrDie();
-    std::thread loop([&server] {
-      if (Status s = server.Serve(); !s.ok()) {
-        std::fprintf(stderr, "server loop failed: %s\n", s.ToString().c_str());
-      }
-    });
-
-    const size_t conns =
-        std::max<size_t>(1, static_cast<size_t>(args.GetUint("conns", 4)));
-    std::vector<std::vector<double>> lat_per_conn(conns);
-    std::atomic<uint64_t> answered{0}, shed_503{0}, client_errors{0};
-    std::vector<std::thread> clients;
-    clients.reserve(conns);
-    Timer wall;
-    for (size_t c = 0; c < conns; ++c) {
-      clients.emplace_back([&, c] {
-        auto client = HttpClient::Connect("127.0.0.1", server.port());
-        if (!client.ok()) {
-          client_errors.fetch_add(1);
-          return;
-        }
-        for (size_t i = c; i < requests.size(); i += conns) {
-          Timer timer;
-          auto response = client.ValueOrDie().Get(FindTarget(requests[i]));
-          if (!response.ok()) {
-            client_errors.fetch_add(1);
-            // The server closes after errors/evictions; one reconnect
-            // attempt keeps the stream going, a second failure ends it.
-            if (!client.ValueOrDie().Reconnect().ok()) return;
-            continue;
-          }
-          lat_per_conn[c].push_back(timer.ElapsedMillis());
-          const int code = response.ValueOrDie().status;
-          if (code == 200) {
-            answered.fetch_add(1);
-          } else if (code == 503) {
-            shed_503.fetch_add(1);
-          } else {
-            client_errors.fetch_add(1);
-          }
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    const double wall_seconds = wall.ElapsedSeconds();
-    server.RequestDrain();
-    loop.join();
-    const HttpServerStats sstats = server.stats();
-    const std::string metrics_json = pipeline.MetricsJson();
-    pipeline.Shutdown();
-
-    std::vector<double> lat;
-    for (const auto& per_conn : lat_per_conn) {
-      lat.insert(lat.end(), per_conn.begin(), per_conn.end());
-    }
-    std::sort(lat.begin(), lat.end());
-    const double qps =
-        wall_seconds > 0.0 ? static_cast<double>(lat.size()) / wall_seconds
-                           : 0.0;
-    std::printf(
-        "remote loopback: %zu requests over %zu connection(s), %zu "
-        "worker(s), queue cap %zu\n",
-        requests.size(), conns, pipeline.workers(), pipeline.queue_capacity());
-    std::printf("qps %.1f | p50 %.3f ms | p90 %.3f ms | p99 %.3f ms | "
-                "max %.3f ms over %zu responses\n",
-                qps, PercentileSorted(lat, 0.50), PercentileSorted(lat, 0.90),
-                PercentileSorted(lat, 0.99), lat.empty() ? 0.0 : lat.back(),
-                lat.size());
-    std::printf(
-        "answered %llu | shed(503) %llu | client errors %llu | server: "
-        "%llu reqs, %llu responses, %llu bad, %llu io errors\n",
-        static_cast<unsigned long long>(answered.load()),
-        static_cast<unsigned long long>(shed_503.load()),
-        static_cast<unsigned long long>(client_errors.load()),
-        static_cast<unsigned long long>(sstats.requests),
-        static_cast<unsigned long long>(sstats.responses),
-        static_cast<unsigned long long>(sstats.bad_requests),
-        static_cast<unsigned long long>(sstats.io_errors));
-
-    const std::string out_path = args.Get("out", "BENCH_serve.json");
-    if (!out_path.empty()) {
-      std::string json = StrFormat(
-          "{\n"
-          "  \"snapshot\": \"%s\",\n"
-          "  \"mode\": \"remote-loopback\",\n"
-          "  \"requests\": %zu,\n"
-          "  \"conns\": %zu,\n"
-          "  \"workers\": %zu,\n"
-          "  \"queue_cap\": %zu,\n"
-          "  \"deadline_ms\": %.2f,\n"
-          "  \"wall_seconds\": %.6f,\n"
-          "  \"qps\": %.2f,\n"
-          "  \"p50_ms\": %.4f,\n"
-          "  \"p90_ms\": %.4f,\n"
-          "  \"p99_ms\": %.4f,\n"
-          "  \"max_ms\": %.4f,\n"
-          "  \"answered\": %llu,\n"
-          "  \"shed\": %llu,\n"
-          "  \"client_errors\": %llu,\n"
-          "  \"server\": { \"accepted\": %llu, \"requests\": %llu, "
-          "\"responses\": %llu, \"bad_requests\": %llu, \"shed\": %llu, "
-          "\"io_errors\": %llu, \"evicted_idle\": %llu, "
-          "\"force_closed\": %llu },\n"
-          "  \"metrics\": %s\n"
-          "}\n",
-          options.snapshot_dir.c_str(), requests.size(), conns,
-          pipeline.workers(), pipeline.queue_capacity(),
-          popt.default_deadline_ms, wall_seconds, qps,
-          PercentileSorted(lat, 0.50), PercentileSorted(lat, 0.90),
-          PercentileSorted(lat, 0.99), lat.empty() ? 0.0 : lat.back(),
-          static_cast<unsigned long long>(answered.load()),
-          static_cast<unsigned long long>(shed_503.load()),
-          static_cast<unsigned long long>(client_errors.load()),
-          static_cast<unsigned long long>(sstats.accepted),
-          static_cast<unsigned long long>(sstats.requests),
-          static_cast<unsigned long long>(sstats.responses),
-          static_cast<unsigned long long>(sstats.bad_requests),
-          static_cast<unsigned long long>(sstats.shed),
-          static_cast<unsigned long long>(sstats.io_errors),
-          static_cast<unsigned long long>(sstats.evicted_idle),
-          static_cast<unsigned long long>(sstats.force_closed),
-          metrics_json.c_str());
-      std::FILE* f = std::fopen(out_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", out_path.c_str());
-    }
-    return client_errors.load() == 0 ? 0 : 1;
-  }
-
-  // Mixed read/write mode: a background thread applies epoch-swapped
-  // network deltas while the batch serves, measuring latency under churn.
-  std::vector<ExpertNetworkDelta> deltas;
-  if (updates > 0) {
-    DeltaMixOptions delta_mix;
-    delta_mix.count = updates;
-    delta_mix.seed = args.GetUint("update-seed", 7);
-    // With injected failures, skill-toggle deltas would cascade: a failed
-    // toggle leaves the network unchanged, so the next toggle of the same
-    // expert is invalid and fails for the wrong reason. Reweight deltas set
-    // absolute weights — each is valid regardless of which predecessors
-    // landed — so the failure count measures exactly the injection.
-    delta_mix.interleave_skill_only = inject_update_failures == 0;
-    deltas = MakeDeltaMix(*net, delta_mix);
-  }
-  if (inject_update_failures > 0) {
-    // fail_n:K at the rebuild point: the first refresh in each ApplyDelta
-    // sweep consumes one count and aborts that swap, so exactly K swaps
-    // fail (DEGRADED), then the remainder succeed (recovery).
-    FaultSpec spec;
-    spec.action = FaultAction::kFailN;
-    spec.arg = inject_update_failures;
-    FaultInjection::Arm("service.applydelta.rebuild", spec);
-  }
-  std::vector<double> update_ms;
-  size_t updates_applied = 0, updates_failed = 0;
-  size_t entries_adopted = 0, entries_rebuilt = 0;
-  std::thread updater;
-  if (!deltas.empty()) {
-    updater = std::thread([&] {
-      for (const ExpertNetworkDelta& delta : deltas) {
-        Timer timer;
-        auto applied = svc.ApplyDelta(delta);
-        if (!applied.ok()) {
-          ++updates_failed;
-          std::fprintf(stderr, "update failed: %s\n",
-                       applied.status().ToString().c_str());
-          continue;
-        }
-        update_ms.push_back(timer.ElapsedMillis());
-        ++updates_applied;
-        entries_adopted += applied.ValueOrDie().entries_adopted;
-        entries_rebuilt += applied.ValueOrDie().entries_rebuilt;
-      }
-    });
-  }
-
-  // Open-loop mode: requests arrive on their own schedule at --arrival-qps,
-  // independent of completions, through the bounded async pipeline. This is
-  // the headline serving bench — latency includes queue wait, and pushing
-  // the arrival rate past sustainable throughput surfaces as shed/expired
-  // counts with the queue depth pinned at its bound, not as a silently
-  // slower driver.
-  if (arrival_qps > 0.0) {
-    PipelineOptions popt;
-    popt.workers = workers;
-    popt.queue_capacity = static_cast<size_t>(args.GetUint("queue-cap", 0));
-    popt.default_deadline_ms = args.GetDouble("deadline-ms", 0.0);
-    auto started = RequestPipeline::Start(svc, popt);
-    if (!started.ok()) {
-      std::fprintf(stderr, "cannot start pipeline: %s\n",
-                   started.status().ToString().c_str());
-      return 1;
-    }
-    RequestPipeline& pipeline = *started.ValueOrDie();
-
-    // Absolute arrival schedule, precomputed: each request is due at
-    // start + offset, so submission jitter never accumulates into the rate.
-    // Poisson draws exponential inter-arrivals -ln(1-u)/R; fixed spaces
-    // them 1/R apart.
-    Rng arrivals(mix.seed ^ 0x9e3779b97f4a7c15ULL);
-    std::vector<double> offsets_s(requests.size());
-    double due_s = 0.0;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      due_s += arrival == "fixed" ? 1.0 / arrival_qps
-                                  : -std::log1p(-arrivals.NextDouble()) /
-                                        arrival_qps;
-      offsets_s[i] = due_s;
-    }
-
-    std::vector<ResponseHandle> handles;
-    handles.reserve(requests.size());
-    Timer wall;
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < requests.size(); ++i) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(offsets_s[i])));
-      auto handle = pipeline.Submit(requests[i]);
-      // Shed arrivals are part of the measurement (pipeline counts them);
-      // the driver just moves on to the next arrival.
-      if (handle.ok()) handles.push_back(std::move(handle).ValueOrDie());
-    }
-    for (const ResponseHandle& handle : handles) handle.Wait();
-    const double wall_seconds = wall.ElapsedSeconds();
-    pipeline.Shutdown();
-    if (updater.joinable()) updater.join();
-
-    // Percentiles over answered requests (solved or infeasible), end to end
-    // — queue wait included. Expired/cancelled/failed are reported as
-    // counts, not folded into the latency distribution.
-    std::vector<double> e2e_ms, queue_wait_ms;
-    for (const ResponseHandle& handle : handles) {
-      const auto& result = handle.Wait();
-      if (result.ok() || result.status().IsInfeasible()) {
-        e2e_ms.push_back(handle.e2e_ms());
-        queue_wait_ms.push_back(handle.queue_ms());
-      }
-    }
-    std::sort(e2e_ms.begin(), e2e_ms.end());
-    std::sort(queue_wait_ms.begin(), queue_wait_ms.end());
-
-    MetricsRegistry& m = pipeline.metrics();
-    const uint64_t offered = m.counter("serve.submitted").value();
-    const uint64_t admitted = m.counter("serve.admitted").value();
-    const uint64_t shed = m.counter("serve.shed").value();
-    const uint64_t expired = m.counter("serve.expired").value();
-    const uint64_t cancelled = m.counter("serve.cancelled").value();
-    const uint64_t solved = m.counter("serve.solved").value();
-    const uint64_t infeasible = m.counter("serve.infeasible").value();
-    const uint64_t failures = m.counter("serve.failed").value();
-    const double depth_peak = m.gauge("serve.queue_depth_peak").value();
-    const OracleCache::Stats cache = svc.cache_stats();
-
-    std::printf(
-        "open loop: offered %.1f qps (%s) for %.3f s over %zu worker(s), "
-        "queue cap %zu\n",
-        arrival_qps, arrival.c_str(), wall_seconds, pipeline.workers(),
-        pipeline.queue_capacity());
-    std::printf(
-        "offered %llu | admitted %llu | shed %llu | expired %llu | "
-        "cancelled %llu\n",
-        static_cast<unsigned long long>(offered),
-        static_cast<unsigned long long>(admitted),
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(expired),
-        static_cast<unsigned long long>(cancelled));
-    std::printf(
-        "e2e (incl. queue wait): p50 %.3f ms | p90 %.3f ms | p99 %.3f ms "
-        "| max %.3f ms over %zu answered\n",
-        PercentileSorted(e2e_ms, 0.50), PercentileSorted(e2e_ms, 0.90),
-        PercentileSorted(e2e_ms, 0.99),
-        e2e_ms.empty() ? 0.0 : e2e_ms.back(), e2e_ms.size());
-    std::printf("queue wait: p50 %.3f ms | p99 %.3f ms | peak depth %.0f\n",
-                PercentileSorted(queue_wait_ms, 0.50),
-                PercentileSorted(queue_wait_ms, 0.99), depth_peak);
-    std::printf("solved %llu, infeasible %llu, failures %llu\n",
-                static_cast<unsigned long long>(solved),
-                static_cast<unsigned long long>(infeasible),
-                static_cast<unsigned long long>(failures));
-    if (updates > 0) {
-      std::printf("updates: %zu applied, %zu failed; now generation %llu\n",
-                  updates_applied, updates_failed,
-                  static_cast<unsigned long long>(svc.generation()));
-      const HealthStats health = svc.health();
-      std::printf("health: %s | %llu degraded transition(s), %llu "
-                  "recover(ies), %llu update failure(s)\n",
-                  std::string(HealthStateToString(health.state)).c_str(),
-                  static_cast<unsigned long long>(health.degraded_transitions),
-                  static_cast<unsigned long long>(health.recoveries),
-                  static_cast<unsigned long long>(health.update_failures));
-    }
-
-    const std::string out_path = args.Get("out", "BENCH_serve.json");
-    if (!out_path.empty()) {
-      std::string json = StrFormat(
-          "{\n"
-          "  \"snapshot\": \"%s\",\n"
-          "  \"mode\": \"open-loop\",\n"
-          "  \"arrival\": { \"process\": \"%s\", \"qps\": %.2f },\n"
-          "  \"workers\": %zu,\n"
-          "  \"queue_cap\": %zu,\n"
-          "  \"deadline_ms\": %.2f,\n"
-          "  \"wall_seconds\": %.6f,\n"
-          "  \"offered\": %llu,\n"
-          "  \"admitted\": %llu,\n"
-          "  \"shed\": %llu,\n"
-          "  \"expired\": %llu,\n"
-          "  \"cancelled\": %llu,\n"
-          "  \"solved\": %llu,\n"
-          "  \"infeasible\": %llu,\n"
-          "  \"failures\": %llu,\n"
-          "  \"queue_depth_peak\": %.0f,\n"
-          "  \"p50_ms\": %.4f,\n"
-          "  \"p90_ms\": %.4f,\n"
-          "  \"p99_ms\": %.4f,\n"
-          "  \"max_ms\": %.4f,\n"
-          "  \"queue_wait_p50_ms\": %.4f,\n"
-          "  \"queue_wait_p99_ms\": %.4f,\n"
-          "  \"updates\": { \"requested\": %zu, \"applied\": %zu, "
-          "\"failed\": %zu, \"injected_failures\": %zu, "
-          "\"generation\": %llu },\n"
-          "  \"health\": { \"state\": \"%s\", \"degraded_transitions\": "
-          "%llu, \"recoveries\": %llu, \"update_failures\": %llu, "
-          "\"persist_failures\": %llu },\n"
-          "  \"cache\": { \"hits\": %llu, \"misses\": %llu, \"loads\": "
-          "%llu, \"builds\": %llu, \"adoptions\": %llu, \"evictions\": "
-          "%llu },\n"
-          "  \"metrics\": %s\n"
-          "}\n",
-          options.snapshot_dir.c_str(), arrival.c_str(), arrival_qps,
-          pipeline.workers(), pipeline.queue_capacity(),
-          popt.default_deadline_ms, wall_seconds,
-          static_cast<unsigned long long>(offered),
-          static_cast<unsigned long long>(admitted),
-          static_cast<unsigned long long>(shed),
-          static_cast<unsigned long long>(expired),
-          static_cast<unsigned long long>(cancelled),
-          static_cast<unsigned long long>(solved),
-          static_cast<unsigned long long>(infeasible),
-          static_cast<unsigned long long>(failures), depth_peak,
-          PercentileSorted(e2e_ms, 0.50), PercentileSorted(e2e_ms, 0.90),
-          PercentileSorted(e2e_ms, 0.99),
-          e2e_ms.empty() ? 0.0 : e2e_ms.back(),
-          PercentileSorted(queue_wait_ms, 0.50),
-          PercentileSorted(queue_wait_ms, 0.99), updates, updates_applied,
-          updates_failed, inject_update_failures,
-          static_cast<unsigned long long>(svc.generation()),
-          std::string(HealthStateToString(svc.health().state)).c_str(),
-          static_cast<unsigned long long>(svc.health().degraded_transitions),
-          static_cast<unsigned long long>(svc.health().recoveries),
-          static_cast<unsigned long long>(svc.health().update_failures),
-          static_cast<unsigned long long>(svc.health().persist_failures),
-          static_cast<unsigned long long>(cache.hits),
-          static_cast<unsigned long long>(cache.misses),
-          static_cast<unsigned long long>(cache.loads),
-          static_cast<unsigned long long>(cache.builds),
-          static_cast<unsigned long long>(cache.adoptions),
-          static_cast<unsigned long long>(cache.evictions),
-          pipeline.MetricsJson().c_str());
-      std::FILE* f = std::fopen(out_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", out_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
-  }
-
-  auto report = svc.ServeBatch(requests, workers);
-  if (updater.joinable()) updater.join();
-  if (!report.ok()) {
-    std::fprintf(stderr, "serve-bench failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  const ServeReport& r = report.ValueOrDie();
-  const OracleCache::Stats cache = svc.cache_stats();
-  std::printf("served %llu requests over %zu worker(s) in %.3f s\n",
-              static_cast<unsigned long long>(r.requests), workers,
-              r.wall_seconds);
-  std::printf("qps %.1f | p50 %.3f ms | p90 %.3f ms | p99 %.3f ms | max %.3f ms\n",
-              r.qps, r.p50_ms, r.p90_ms, r.p99_ms, r.max_ms);
-  std::printf("solved %llu, infeasible %llu, failures %llu\n",
-              static_cast<unsigned long long>(r.solved),
-              static_cast<unsigned long long>(r.infeasible),
-              static_cast<unsigned long long>(r.failures));
-  std::printf("cache: %llu hits, %llu misses, %llu loads, %llu builds, "
-              "%llu adoptions, %llu evictions\n",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              static_cast<unsigned long long>(cache.loads),
-              static_cast<unsigned long long>(cache.builds),
-              static_cast<unsigned long long>(cache.adoptions),
-              static_cast<unsigned long long>(cache.evictions));
-  double update_p50 = 0.0, update_max = 0.0;
-  if (!update_ms.empty()) {
-    std::vector<double> sorted = update_ms;
-    std::sort(sorted.begin(), sorted.end());
-    update_p50 = sorted[(sorted.size() - 1) / 2];
-    update_max = sorted.back();
-  }
-  if (updates > 0) {
-    std::printf("updates: %zu applied, %zu failed; now generation %llu; "
-                "p50 %.1f ms, max %.1f ms per swap; indexes %zu adopted / "
-                "%zu rebuilt across swaps\n",
-                updates_applied, updates_failed,
-                static_cast<unsigned long long>(svc.generation()), update_p50,
-                update_max, entries_adopted, entries_rebuilt);
-    const HealthStats health = svc.health();
-    std::printf("health: %s | %llu degraded transition(s), %llu "
-                "recover(ies), %llu update failure(s)\n",
-                std::string(HealthStateToString(health.state)).c_str(),
-                static_cast<unsigned long long>(health.degraded_transitions),
-                static_cast<unsigned long long>(health.recoveries),
-                static_cast<unsigned long long>(health.update_failures));
-  }
-
-  const std::string out_path = args.Get("out", "BENCH_serve.json");
-  if (!out_path.empty()) {
-    std::string json = StrFormat(
-        "{\n"
-        "  \"snapshot\": \"%s\",\n"
-        "  \"mode\": \"closed-loop\",\n"
-        "  \"requests\": %llu,\n"
-        "  \"workers\": %zu,\n"
-        "  \"skills_per_request\": %u,\n"
-        "  \"wall_seconds\": %.6f,\n"
-        "  \"qps\": %.2f,\n"
-        "  \"p50_ms\": %.4f,\n"
-        "  \"p90_ms\": %.4f,\n"
-        "  \"p99_ms\": %.4f,\n"
-        "  \"max_ms\": %.4f,\n"
-        "  \"solved\": %llu,\n"
-        "  \"infeasible\": %llu,\n"
-        "  \"failures\": %llu,\n"
-        "  \"updates\": { \"requested\": %zu, \"applied\": %zu, "
-        "\"failed\": %zu, \"injected_failures\": %zu, "
-        "\"generation\": %llu, \"p50_ms\": %.4f, "
-        "\"max_ms\": %.4f, \"entries_adopted\": %zu, "
-        "\"entries_rebuilt\": %zu },\n"
-        "  \"health\": { \"state\": \"%s\", \"degraded_transitions\": %llu, "
-        "\"recoveries\": %llu, \"update_failures\": %llu, "
-        "\"persist_failures\": %llu },\n"
-        "  \"cache\": { \"hits\": %llu, \"misses\": %llu, \"loads\": %llu, "
-        "\"builds\": %llu, \"adoptions\": %llu, \"evictions\": %llu }\n"
-        "}\n",
-        options.snapshot_dir.c_str(),
-        static_cast<unsigned long long>(r.requests), workers,
-        skills_per_request, r.wall_seconds, r.qps, r.p50_ms, r.p90_ms,
-        r.p99_ms, r.max_ms, static_cast<unsigned long long>(r.solved),
-        static_cast<unsigned long long>(r.infeasible),
-        static_cast<unsigned long long>(r.failures), updates, updates_applied,
-        updates_failed, inject_update_failures,
-        static_cast<unsigned long long>(svc.generation()),
-        update_p50, update_max, entries_adopted, entries_rebuilt,
-        std::string(HealthStateToString(svc.health().state)).c_str(),
-        static_cast<unsigned long long>(svc.health().degraded_transitions),
-        static_cast<unsigned long long>(svc.health().recoveries),
-        static_cast<unsigned long long>(svc.health().update_failures),
-        static_cast<unsigned long long>(svc.health().persist_failures),
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.loads),
-        static_cast<unsigned long long>(cache.builds),
-        static_cast<unsigned long long>(cache.adoptions),
-        static_cast<unsigned long long>(cache.evictions));
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return r.failures == 0 ? 0 : 1;
-}
-
-/// One-shot admin surface for the async pipeline: serve a short request mix
-/// through RequestPipeline, then dump the metrics registry as JSON. The
-/// dump is the point — it is the same snapshot a long-running server would
-/// expose on an admin endpoint, so scripts can smoke the serving stack and
-/// scrape serve.*/cache.* in one shot.
+/// The HTTP server: the pipeline's epoll front-end over a snapshot, until
+/// a signal drains it. Exit 0 means a clean drain: every in-flight request
+/// was answered and flushed before the deadline.
 int CmdServe(const Args& args) {
-  if (int rc = RejectUnknownFlags(
-          args, {"requests", "workers", "queue-cap", "deadline-ms", "seed",
-                 "budget-mb", "metrics-out", "listen", "max-conns",
-                 "idle-timeout-ms", "request-timeout-ms", "write-timeout-ms",
-                 "drain-ms"})) {
+  if (int rc = CheckFlags(args, {{"listen"},
+                                 {"workers", Flag::kUint},
+                                 {"queue-cap", Flag::kUint},
+                                 {"deadline-ms", Flag::kDouble},
+                                 {"budget-mb", Flag::kUint},
+                                 {"max-conns", Flag::kUint},
+                                 {"idle-timeout-ms", Flag::kUint},
+                                 {"request-timeout-ms", Flag::kUint},
+                                 {"write-timeout-ms", Flag::kUint},
+                                 {"drain-ms", Flag::kUint}})) {
     return rc;
   }
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr, "usage: teamdisc_cli serve <snapshot-dir> [flags]\n");
+  const std::string listen = args.Get("listen", "");
+  if (args.positional.size() < 2 || listen.empty()) {
+    std::fprintf(stderr, "usage: teamdisc_cli serve <snapshot-dir> "
+                         "--listen=HOST:PORT [flags]\n");
     return 2;
   }
+  HttpServerOptions sopt;
+  if (!ParseListenAddress(listen, &sopt)) return 2;
+  sopt.max_connections = static_cast<size_t>(args.GetUint("max-conns", 0));
+  sopt.idle_timeout_ms = args.GetUint("idle-timeout-ms", 0);
+  sopt.request_timeout_ms = args.GetUint("request-timeout-ms", 0);
+  sopt.write_timeout_ms = args.GetUint("write-timeout-ms", 0);
+  sopt.drain_deadline_ms = args.GetUint("drain-ms", 0);
+
   ServiceOptions options;
   options.snapshot_dir = args.positional[1];
   options.cache_budget_bytes =
@@ -1138,104 +518,47 @@ int CmdServe(const Args& args) {
   }
   RequestPipeline& pipeline = *started.ValueOrDie();
 
-  // Long-running mode: hand the pipeline to the epoll HTTP front-end and
-  // block until a signal drains it. Exit 0 means a clean drain: every
-  // in-flight request was answered and flushed before the deadline.
-  const std::string listen = args.Get("listen", "");
-  if (!listen.empty()) {
-    HttpServerOptions sopt;
-    if (!ParseListenAddress(listen, &sopt)) return 2;
-    sopt.max_connections = static_cast<size_t>(args.GetUint("max-conns", 0));
-    sopt.idle_timeout_ms = args.GetUint("idle-timeout-ms", 0);
-    sopt.request_timeout_ms = args.GetUint("request-timeout-ms", 0);
-    sopt.write_timeout_ms = args.GetUint("write-timeout-ms", 0);
-    sopt.drain_deadline_ms = args.GetUint("drain-ms", 0);
-    auto server = HttpServer::Start(svc, pipeline, sopt);
-    if (!server.ok()) {
-      std::fprintf(stderr, "cannot start server: %s\n",
-                   server.status().ToString().c_str());
-      return 1;
-    }
-    if (Status s = server.ValueOrDie()->InstallSignalHandlers(); !s.ok()) {
-      std::fprintf(stderr, "cannot install signal handlers: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("listening on http://%s:%u (generation %llu); "
-                "SIGTERM/SIGINT drains\n",
-                sopt.host.c_str(), server.ValueOrDie()->port(),
-                static_cast<unsigned long long>(svc.generation()));
-    std::fflush(stdout);
-    const Status served = server.ValueOrDie()->Serve();
-    const HttpServerStats stats = server.ValueOrDie()->stats();
-    pipeline.Shutdown();
-    std::fprintf(stderr,
-                 "drained: %llu requests, %llu responses, %llu bad, "
-                 "%llu shed, %llu evicted, %llu force-closed\n",
-                 static_cast<unsigned long long>(stats.requests),
-                 static_cast<unsigned long long>(stats.responses),
-                 static_cast<unsigned long long>(stats.bad_requests),
-                 static_cast<unsigned long long>(stats.shed),
-                 static_cast<unsigned long long>(stats.evicted_idle +
-                                                 stats.evicted_write),
-                 static_cast<unsigned long long>(stats.force_closed));
-    if (!served.ok()) {
-      std::fprintf(stderr, "server loop failed: %s\n",
-                   served.ToString().c_str());
-      return 1;
-    }
-    return 0;
+  auto server = HttpServer::Start(svc, pipeline, sopt);
+  if (!server.ok()) {
+    std::fprintf(stderr, "cannot start server: %s\n",
+                 server.status().ToString().c_str());
+    return 1;
   }
-
-  RequestMixOptions mix;
-  mix.count = static_cast<size_t>(args.GetUint("requests", 64));
-  mix.seed = args.GetUint("seed", 42);
-  std::vector<TeamRequest> requests =
-      MakeRequestMix(*svc.network(), svc.manifest(), mix);
-  std::vector<ResponseHandle> handles;
-  handles.reserve(requests.size());
-  for (const TeamRequest& request : requests) {
-    auto handle = pipeline.Submit(request);
-    if (handle.ok()) handles.push_back(std::move(handle).ValueOrDie());
+  if (Status s = server.ValueOrDie()->InstallSignalHandlers(); !s.ok()) {
+    std::fprintf(stderr, "cannot install signal handlers: %s\n",
+                 s.ToString().c_str());
+    return 1;
   }
-  uint64_t hard_failures = 0;
-  for (const ResponseHandle& handle : handles) {
-    const auto& result = handle.Wait();
-    if (!result.ok() && !result.status().IsInfeasible() &&
-        !result.status().IsDeadlineExceeded()) {
-      ++hard_failures;
-    }
-  }
+  std::printf("listening on http://%s:%u (generation %llu); "
+              "SIGTERM/SIGINT drains\n",
+              sopt.host.c_str(), server.ValueOrDie()->port(),
+              static_cast<unsigned long long>(svc.generation()));
+  std::fflush(stdout);
+  const Status served = server.ValueOrDie()->Serve();
+  const HttpServerStats stats = server.ValueOrDie()->stats();
   pipeline.Shutdown();
-
-  const std::string json = pipeline.MetricsJson() + "\n";
-  const std::string out_path = args.Get("metrics-out", "");
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", out_path.c_str());
+  std::fprintf(stderr,
+               "drained: %llu requests, %llu responses, %llu bad, "
+               "%llu shed, %llu evicted, %llu force-closed\n",
+               static_cast<unsigned long long>(stats.requests),
+               static_cast<unsigned long long>(stats.responses),
+               static_cast<unsigned long long>(stats.bad_requests),
+               static_cast<unsigned long long>(stats.shed),
+               static_cast<unsigned long long>(stats.evicted_idle +
+                                               stats.evicted_write),
+               static_cast<unsigned long long>(stats.force_closed));
+  if (!served.ok()) {
+    std::fprintf(stderr, "server loop failed: %s\n",
+                 served.ToString().c_str());
+    return 1;
   }
-  return hard_failures == 0 ? 0 : 1;
+  return 0;
 }
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  Args args = ParseArgs(argc, argv);
-  std::string command = argv[1];
-  args.positional.insert(args.positional.begin(), command);
-  // Note: ParseArgs already collected positionals including the command;
-  // rebuild cleanly instead.
-  args.positional.clear();
-  for (int i = 1; i < argc; ++i) {
-    if (!StartsWith(argv[i], "--")) args.positional.emplace_back(argv[i]);
-  }
+  const Args args = ParseArgs(argc, argv);
+  const std::string command = argv[1];
   if (command == "generate") return CmdGenerate(args);
   if (command == "info") return CmdInfo(args);
   if (command == "skills") return CmdSkills(args);
@@ -1243,7 +566,6 @@ int Main(int argc, char** argv) {
   if (command == "pareto") return CmdPareto(args);
   if (command == "build-index") return CmdBuildIndex(args);
   if (command == "apply-update") return CmdApplyUpdate(args);
-  if (command == "serve-bench") return CmdServeBench(args);
   if (command == "serve") return CmdServe(args);
   return Usage();
 }
