@@ -1,6 +1,7 @@
 #include "core/greedy_team_finder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -104,10 +105,61 @@ double GreedyTeamFinder::RootHoldsSkillCost(NodeId root) const {
   return 0.0;
 }
 
+std::optional<GreedyTeamFinder::SkillBound> GreedyTeamFinder::MakeSkillBound(
+    std::span<const NodeId> holders) const {
+  // The ablation policy's partial sums are not monotone; the scan does not
+  // prune there either.
+  if (options_.root_skill_policy != RootSkillPolicy::kZeroCost) {
+    return std::nullopt;
+  }
+  // AdjustedCost(dist, v) = a·dist + b(v): a is 1 for CC and CA-CC and
+  // 1 - lambda for SA-CA-CC, and b(v) is AdjustedCost(0, v).
+  const double scale = options_.strategy == RankingStrategy::kSACACC
+                           ? 1.0 - options_.params.lambda
+                           : 1.0;
+  if (scale == 0.0) return std::nullopt;
+  std::vector<double> offsets(holders.size());
+  double max_abs_offset = 0.0;
+  for (size_t c = 0; c < holders.size(); ++c) {
+    const double b = AdjustedCost(0.0, holders[c]);
+    offsets[c] = b / scale;
+    max_abs_offset = std::max(max_abs_offset, std::abs(b));
+  }
+  std::unique_ptr<const TargetSetBound> bound =
+      oracle_->MakeTargetSetBound(holders, offsets);
+  if (bound == nullptr) return std::nullopt;
+  return SkillBound{scale, max_abs_offset, std::move(bound)};
+}
+
 void GreedyTeamFinder::SweepRoot(
     NodeId root, const std::vector<std::span<const NodeId>>& candidates,
-    const Project& project, TopK<Candidate>& best,
-    std::vector<double>& dists) const {
+    const std::vector<SkillBound>& bounds, const Project& project,
+    TopK<Candidate>& best, std::vector<double>& dists) const {
+  // Bound pass: reject the root from its own label alone when the sum of
+  // its per-skill bounds, less the slack, cannot enter the kept list. Each
+  // bound exceeds the exact skill cost by at most its share of the slack,
+  // and under kZeroCost no exact skill cost is negative, so the exact cost
+  // of such a root (and every prefix of it) cannot enter either: the scan
+  // below would never Add it. A root the bound keeps runs the unchanged
+  // scan, so rankings and proxy_cost bits are the scan's alone.
+  if (!bounds.empty()) {
+    double lower = 0.0;
+    double slack = 0.0;
+    for (size_t i = 0; i < project.size(); ++i) {
+      double cost;
+      if (net_.HasSkill(root, project[i])) {
+        cost = RootHoldsSkillCost(root);
+      } else {
+        cost = bounds[i].Cost(root);
+        // No holder shares a hub with the root: the scan returns here too.
+        if (cost == kInfDistance) return;
+      }
+      lower += cost;
+      slack += kBoundSlack * (std::abs(cost) + bounds[i].max_abs_offset);
+      if (!best.WouldAccept(lower - slack)) return;
+    }
+  }
+
   double team_cost = 0.0;
   Candidate candidate;
   candidate.root = root;
@@ -178,6 +230,18 @@ Result<std::vector<ScoredTeam>> GreedyTeamFinder::FindTeams(
     if (stride == 0) stride = 1;
   }
 
+  // Per-skill hub aggregates for SweepRoot's bound pass, built once per
+  // request; empty when the bound is off.
+  std::vector<SkillBound> bounds;
+  for (size_t i = 0; i < project.size(); ++i) {
+    std::optional<SkillBound> bound = MakeSkillBound(candidates[i]);
+    if (!bound.has_value()) {
+      bounds.clear();
+      break;
+    }
+    bounds.push_back(std::move(*bound));
+  }
+
   const size_t keep =
       static_cast<size_t>(options_.top_k) *
       (options_.dedupe_top_k ? options_.dedupe_buffer_factor : 1);
@@ -187,24 +251,24 @@ Result<std::vector<ScoredTeam>> GreedyTeamFinder::FindTeams(
   if (pool_ == nullptr || num_roots <= 1) {
     std::vector<double> dists;
     for (NodeId root = 0; root < n; root += stride) {
-      SweepRoot(root, candidates, project, best, dists);
+      SweepRoot(root, candidates, bounds, project, best, dists);
     }
   } else {
     // Parallel sweep: strands claim roots dynamically, each keeping its own
     // bounded list and distance scratch. Every candidate the sequential
     // sweep would keep survives in its strand's list: a strand's pruning
-    // threshold is at most as strict as the sequential one because its list
-    // holds a subset of the lower-rooted candidates (ParallelForWorkers
-    // guarantees each slot claims indices in ascending order — see its
-    // contract). Replaying all kept candidates into one list in
-    // ascending-root order therefore reproduces the sequential insertion
-    // order, costs and ties included: results are bit-identical at any
-    // thread count.
+    // threshold (scan and bound pass alike) is at most as strict as the
+    // sequential one because its list holds a subset of the lower-rooted
+    // candidates (ParallelForWorkers guarantees each slot claims indices in
+    // ascending order — see its contract). Replaying all kept candidates
+    // into one list in ascending-root order therefore reproduces the
+    // sequential insertion order, costs and ties included: results are
+    // bit-identical at any thread count.
     const size_t shards = pool_->NumShards(num_roots);
     std::vector<TopK<Candidate>> local(shards, TopK<Candidate>(keep));
     std::vector<std::vector<double>> dists(shards);
     pool_->ParallelForWorkers(num_roots, [&](size_t worker, size_t i) {
-      SweepRoot(static_cast<NodeId>(i * stride), candidates, project,
+      SweepRoot(static_cast<NodeId>(i * stride), candidates, bounds, project,
                 local[worker], dists[worker]);
     });
     std::vector<TopK<Candidate>::Entry> merged;

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -67,26 +69,56 @@ class GreedyTeamFinder final : public TeamFinder {
   /// oracles.
   NodeId num_search_nodes() const { return net_.num_experts(); }
 
+  /// Strategy-adjusted per-skill cost for assigning `holder` from `root`
+  /// at oracle distance `dist` (the DIST(root,v) replacement of §3.2.2/3.2.3).
+  /// Every strategy's form is a·dist + b(holder) with a >= 0.
+  double AdjustedCost(double dist, NodeId holder) const;
+
+  /// \brief One skill's cost from any root, read from the root's own label
+  /// (see SweepRoot and docs/ARCHITECTURE.md "Greedy sweep: bound, then
+  /// scan").
+  struct SkillBound {
+    /// a · min over holders v of (DIST(root, v) + b(v)/a): the exact
+    /// min_v AdjustedCost(DIST(root, v), v) up to rounding, kInfDistance when
+    /// no holder is reachable.
+    double Cost(NodeId root) const {
+      return scale * holders->MinOffsetDistance(root);
+    }
+    double scale;           ///< a
+    double max_abs_offset;  ///< max over holders of |b(v)|, for the slack
+    std::unique_ptr<const TargetSetBound> holders;
+  };
+
+  /// The bound over the holder set `holders`, or nullopt when the bound is
+  /// off: an oracle without hub labels, RootSkillPolicy::kFormulaZeroDist,
+  /// or a == 0 (SA-CA-CC at lambda = 1). Public for the bound tests.
+  std::optional<SkillBound> MakeSkillBound(
+      std::span<const NodeId> holders) const;
+
+  /// Relative slack of the bound pass: a root is rejected only when its
+  /// summed bounds minus kBoundSlack · Σ (|bound_i| + max_abs_offset_i)
+  /// cannot enter the kept list. It absorbs the rounding between the bound
+  /// and the exact cost, which add the same terms in different orders.
+  static constexpr double kBoundSlack = 1e-9;
+
  private:
   struct Candidate;
 
   GreedyTeamFinder(const ExpertNetwork& net, FinderOptions options)
       : net_(net), options_(std::move(options)) {}
 
-  /// Strategy-adjusted per-skill cost for assigning `holder` from `root`
-  /// at oracle distance `dist` (the DIST(root,v) replacement of §3.2.2/3.2.3).
-  double AdjustedCost(double dist, NodeId holder) const;
-
   /// Cost charged when the root itself holds the skill.
   double RootHoldsSkillCost(NodeId root) const;
 
   /// Evaluates one candidate root against every required skill, inserting a
-  /// surviving candidate into `best`. `dists` is reusable scratch for the
-  /// batched oracle call; each sweep strand owns its own `best`/`dists`.
+  /// surviving candidate into `best`. `bounds` is empty when the bound is
+  /// off, else one SkillBound per project skill; it is read-only, so the
+  /// sweep strands share it. `dists` is reusable scratch for the batched
+  /// oracle call; each sweep strand owns its own `best`/`dists`.
   void SweepRoot(NodeId root,
                  const std::vector<std::span<const NodeId>>& candidates,
-                 const Project& project, TopK<Candidate>& best,
-                 std::vector<double>& dists) const;
+                 const std::vector<SkillBound>& bounds, const Project& project,
+                 TopK<Candidate>& best, std::vector<double>& dists) const;
 
   const ExpertNetwork& net_;
   FinderOptions options_;

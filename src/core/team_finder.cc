@@ -1,5 +1,7 @@
 #include "core/team_finder.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace teamdisc {
@@ -29,6 +31,12 @@ Result<Project> MakeProject(const ExpertNetwork& net,
     SkillId id = net.skills().Find(name);
     if (id == kInvalidSkill) {
       return Status::NotFound(StrFormat("unknown skill '%s'", name.c_str()));
+    }
+    // A project is a set: a repeated skill would be swept again at full
+    // cost without changing the team.
+    if (std::find(project.begin(), project.end(), id) != project.end()) {
+      return Status::InvalidArgument(
+          StrFormat("skill '%s' is named twice", name.c_str()));
     }
     project.push_back(id);
   }

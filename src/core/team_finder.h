@@ -79,7 +79,8 @@ class TeamFinder {
   virtual const ExpertNetwork& network() const = 0;
 };
 
-/// Parses a project given by skill names against `net`'s vocabulary.
+/// Parses a project given by skill names against `net`'s vocabulary. Fails
+/// NotFound on an unknown name and InvalidArgument on a name given twice.
 Result<Project> MakeProject(const ExpertNetwork& net,
                             const std::vector<std::string>& skill_names);
 

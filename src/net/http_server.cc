@@ -651,6 +651,14 @@ void HttpServer::SubmitFind(Connection* conn, const HttpRequest& request) {
   if (parse_error.ok() && team_request.skills.empty()) {
     parse_error = Status::InvalidArgument("skills=a,b,c is required");
   }
+  // The sweep costs roots × Σ holders, so the skill count bounds the work a
+  // request can buy. The paper's projects have 4–10 skills.
+  constexpr size_t kMaxFindSkills = 32;
+  if (parse_error.ok() && team_request.skills.size() > kMaxFindSkills) {
+    parse_error = Status::InvalidArgument(
+        StrFormat("at most %zu skills per request, got %zu", kMaxFindSkills,
+                  team_request.skills.size()));
+  }
   if (!parse_error.ok()) {
     c_bad_requests_->Increment();
     EnqueueResponse(conn, 400,

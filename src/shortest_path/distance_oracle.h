@@ -16,6 +16,20 @@
 
 namespace teamdisc {
 
+/// \brief min over a fixed target set T of Distance(source, t) + offset(t),
+/// answered for any source without visiting T (see
+/// DistanceOracle::MakeTargetSetBound).
+class TargetSetBound {
+ public:
+  virtual ~TargetSetBound() = default;
+
+  /// min over t in T of Distance(source, t) + offset(t). It equals the value
+  /// computed from Distance() only up to floating-point rounding (the terms
+  /// are added in another order), so callers comparing it with exact costs
+  /// must allow a slack. kInfDistance when no target is reachable.
+  virtual double MinOffsetDistance(NodeId source) const = 0;
+};
+
 /// \brief Point-to-point distance + path queries over a fixed graph.
 ///
 /// Implementations hold a reference to the graph they were built on; the
@@ -44,6 +58,17 @@ class DistanceOracle {
   /// capacity amortizes.
   virtual void DistancesInto(NodeId source, std::span<const NodeId> targets,
                              std::vector<double>& out) const;
+
+  /// Preprocesses `targets`, with the finite per-target `offsets` (aligned
+  /// with `targets`), for callers that ask the same target set from many
+  /// sources. Null (the default) when the oracle cannot answer a source
+  /// faster than DistancesInto over the targets. The result reads this
+  /// oracle's index, so the oracle must outlive it.
+  virtual std::unique_ptr<const TargetSetBound> MakeTargetSetBound(
+      std::span<const NodeId> /*targets*/,
+      std::span<const double> /*offsets*/) const {
+    return nullptr;
+  }
 
   /// Approximate heap footprint of the oracle's own index structures,
   /// excluding the graph it references (for cache budgeting). Oracles that

@@ -12,58 +12,11 @@ namespace {
 
 bool ScalarSupported() { return true; }
 
-/// Sentinel-terminated merge, the semantics every vector backend must
-/// reproduce bit-for-bit: both cursors walk forward, matches minimize with
-/// strict < (so ties break to the lowest-ranked hub), and the loop ends when
-/// both cursors sit on their sentinels.
-double ScalarMergeDistance(const NodeId* ru, const double* du,
-                           const NodeId* rv, const double* dv,
-                           NodeId* best_hub_rank) {
-  double best = kInfDistance;
-  if (best_hub_rank == nullptr) {
-    // Distance-only path (the common point query): no hub tracking, so the
-    // minimization is a branchless minsd instead of a compare-and-branch.
-    for (;;) {
-      const NodeId a = *ru, b = *rv;
-      if (a == b) {
-        if (a == kInvalidNode) break;
-        const double d = *du + *dv;
-        best = d < best ? d : best;
-        ++ru, ++du, ++rv, ++dv;
-      } else if (a < b) {
-        ++ru, ++du;
-      } else {
-        ++rv, ++dv;
-      }
-    }
-    return best;
-  }
-  NodeId best_rank = kInvalidNode;
-  for (;;) {
-    const NodeId a = *ru, b = *rv;
-    if (a == b) {
-      if (a == kInvalidNode) break;
-      const double d = *du + *dv;
-      if (d < best) {
-        best = d;
-        best_rank = a;
-      }
-      ++ru, ++du, ++rv, ++dv;
-    } else if (a < b) {
-      ++ru, ++du;
-    } else {
-      ++rv, ++dv;
-    }
-  }
-  if (best_hub_rank != nullptr) *best_hub_rank = best_rank;
-  return best;
-}
-
 double ScalarScatterScan(const NodeId* ranks, const double* dists,
-                         const double* rank_scratch) {
+                         const double* rank_array) {
   double best = kInfDistance;
   for (size_t k = 0; ranks[k] != kInvalidNode; ++k) {
-    const double d = rank_scratch[ranks[k]] + dists[k];
+    const double d = rank_array[ranks[k]] + dists[k];
     if (d < best) best = d;
   }
   return best;
@@ -72,7 +25,6 @@ double ScalarScatterScan(const NodeId* ranks, const double* dists,
 constexpr LabelKernels kScalarKernels = {
     "scalar",
     &ScalarSupported,
-    &ScalarMergeDistance,
     &ScalarScatterScan,
 };
 

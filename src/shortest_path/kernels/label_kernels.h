@@ -1,10 +1,11 @@
-// Pluggable kernels for the two hottest loops in the system: the PLL point
-// query (a rank-merge over two sorted, sentinel-terminated CSR label runs)
-// and the batched-distances scan (min over scratch[rank] + dist along one
-// run). Every finder call fans into these, so they get the
-// backend-per-architecture treatment: a scalar reference implementation that
-// defines the semantics, and vectorized implementations (currently AVX2)
-// selected once per process by CPUID runtime dispatch.
+// Pluggable kernel for the hottest loop in the system: the label scan (min
+// over rank_array[rank] + dist along one sorted, sentinel-terminated CSR
+// label run). Batched distances and the greedy sweep's target-set bounds
+// both fan into it, so it gets the backend-per-architecture treatment: a
+// scalar reference implementation that defines the semantics, and vectorized
+// implementations (currently AVX2) selected once per process by CPUID
+// runtime dispatch. (The point-query merge of two runs is plain scalar code
+// in PrunedLandmarkLabeling: a vector merge measured no faster.)
 //
 // Selection: SelectedLabelKernels() resolves TEAMDISC_KERNEL={auto,scalar,
 // avx2} once. `auto` (or unset) picks the fastest backend this binary carries
@@ -19,10 +20,10 @@
 // this (32-byte-aligned allocation + padded tail); hand-built test runs must
 // do the same (see PaddedRun in label_kernels_test.cc).
 //
-// All backends are bit-identical, not just approximately equal: matches are
-// combined with the exact same strict-< minimization over the same candidate
-// values, so the differential test suite can assert equality on the raw
-// double bits and on the reported best hub rank.
+// All backends are bit-identical, not just approximately equal: they
+// minimize over the same candidate values, and min over non-NaN doubles is
+// exact in any order, so the differential test suite can assert equality on
+// the raw double bits.
 #pragma once
 
 #include <cstddef>
@@ -51,22 +52,15 @@ struct LabelKernels {
   /// backends whose ISA the host lacks must never be called.
   bool (*cpu_supported)();
 
-  /// Point query: merge-join the two runs on hub rank and return
-  /// min(u_dist + v_dist) over common hubs (kInfDistance when none).
-  /// `best_hub_rank` (may be null) receives the rank of the first hub
-  /// attaining the minimum, kInvalidNode when disconnected — ties break to
-  /// the lowest rank in every backend.
-  double (*merge_distance)(const NodeId* u_ranks, const double* u_dists,
-                           const NodeId* v_ranks, const double* v_dists,
-                           NodeId* best_hub_rank);
-
-  /// Batched-path per-target scan: min over the run of
-  /// rank_scratch[t_ranks[k]] + t_dists[k]. `rank_scratch` is the source
-  /// label scattered into a rank-indexed array (kInfDistance elsewhere) and
-  /// must be indexable by every real rank in the run; the sentinel rank is
-  /// never dereferenced.
+  /// Label scan: min over the run of rank_array[t_ranks[k]] + t_dists[k]
+  /// (kInfDistance for an empty run). `rank_array` is any rank-indexed array
+  /// of non-NaN doubles, kInfDistance where a rank has no value: a source
+  /// label scattered by rank (batched distances) or a target set's hub
+  /// aggregate (PrunedLandmarkLabeling::MakeTargetSetBound). It must be
+  /// indexable by every real rank in the run; the sentinel rank is never
+  /// dereferenced.
   double (*scatter_scan)(const NodeId* t_ranks, const double* t_dists,
-                         const double* rank_scratch);
+                         const double* rank_array);
 };
 
 /// The portable reference backend; semantics source of truth.

@@ -1,4 +1,4 @@
-// AVX2 backend for the label-merge kernels. This translation unit is the
+// AVX2 backend for the label-scan kernel. This translation unit is the
 // only one compiled with -mavx2 (see src/CMakeLists.txt); when the toolchain
 // or target cannot build it, __AVX2__ is undefined and the file degrades to
 // a stub returning nullptr, so the dispatcher never sees the backend. Keep
@@ -27,110 +27,14 @@ bool Avx2Supported() {
 #endif
 }
 
-/// Lanes of the 8-rank block at `p` that are strictly below `bound`
-/// (unsigned), counted contiguously from lane 0. Runs are sorted ascending,
-/// so this prefix is exactly how far a merge cursor may skip; lanes past the
-/// run's sentinel never extend the prefix because the sentinel
-/// (kInvalidNode = 0xFFFFFFFF) is the unsigned maximum and stops it.
-inline unsigned CountLanesBelow(const NodeId* p, NodeId bound) {
-  // AVX2 has no unsigned 32-bit compare; flipping the sign bit maps unsigned
-  // order onto signed order (and maps the sentinel to INT32_MAX).
-  const __m256i kFlip = _mm256_set1_epi32(INT32_MIN);
-  const __m256i lanes = _mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), kFlip);
-  const __m256i vbound =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int32_t>(bound)), kFlip);
-  const __m256i below = _mm256_cmpgt_epi32(vbound, lanes);
-  const unsigned mask =
-      static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(below)));
-  return static_cast<unsigned>(std::countr_one(mask));
-}
-
-/// Rank-compare merge with movemask advancement: matches and the running
-/// minimum are handled exactly like the scalar reference (same strict-<
-/// tie-break, same visit order, hence bit-identical results); the win is in
-/// the non-matching stretches, where the lagging cursor leaps up to 8
-/// entries per compare instead of 1.
-template <bool kTrackRank>
-double Avx2MergeImpl(const NodeId* ru, const double* du, const NodeId* rv,
-                     const double* dv, NodeId* best_hub_rank) {
-  double best = kInfDistance;
-  [[maybe_unused]] NodeId best_rank = kInvalidNode;
-  NodeId a = *ru, b = *rv;
-  for (;;) {
-    if (a == b) {
-      if (a == kInvalidNode) break;
-      const double d = *du + *dv;
-      if constexpr (kTrackRank) {
-        if (d < best) {
-          best = d;
-          best_rank = a;
-        }
-      } else {
-        // Distance-only path: branchless minsd, same minimum as the scalar
-        // reference since strict < over non-NaN doubles is order-exact.
-        best = d < best ? d : best;
-      }
-      ++ru, ++du, ++rv, ++dv;
-      a = *ru;
-      b = *rv;
-    } else if (a < b) {
-      // Two scalar steps first: when the runs tightly interleave (the common
-      // shape near the top-ranked hubs both labels share) these are all
-      // that's needed and cost less than a vector compare. Only a cursor
-      // still behind after both earns the 8-lane movemask leap.
-      ++ru, ++du;
-      a = *ru;
-      if (a < b) {
-        ++ru, ++du;
-        a = *ru;
-        if (a < b) {
-          unsigned skip;
-          do {
-            skip = CountLanesBelow(ru, b);
-            ru += skip;
-            du += skip;
-          } while (skip == 8);  // leap again until a lane >= b (or sentinel)
-          a = *ru;
-        }
-      }
-    } else {
-      ++rv, ++dv;
-      b = *rv;
-      if (a > b) {
-        ++rv, ++dv;
-        b = *rv;
-        if (a > b) {
-          unsigned skip;
-          do {
-            skip = CountLanesBelow(rv, a);
-            rv += skip;
-            dv += skip;
-          } while (skip == 8);
-          b = *rv;
-        }
-      }
-    }
-  }
-  if constexpr (kTrackRank) *best_hub_rank = best_rank;
-  return best;
-}
-
-double Avx2MergeDistance(const NodeId* ru, const double* du, const NodeId* rv,
-                         const double* dv, NodeId* best_hub_rank) {
-  if (best_hub_rank == nullptr) {
-    return Avx2MergeImpl<false>(ru, du, rv, dv, nullptr);
-  }
-  return Avx2MergeImpl<true>(ru, du, rv, dv, best_hub_rank);
-}
-
 /// Gather+add+min over the run, 4 doubles per step. The candidate set is
 /// identical to the scalar scan's and min is exact over non-NaN doubles
-/// (scratch holds finite distances or kInfDistance, run distances are
-/// finite), so the result is bit-identical regardless of lane order.
+/// (the rank array holds non-NaN values, run distances are finite), so the
+/// result is bit-identical regardless of lane order.
 double Avx2ScatterScan(const NodeId* ranks, const double* dists,
-                       const double* rank_scratch) {
+                       const double* rank_array) {
   const __m128i kSentinel = _mm_set1_epi32(-1);  // kInvalidNode
+  const __m256d kAllLanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   __m256d best4 = _mm256_set1_pd(kInfDistance);
   double best = kInfDistance;
   for (;;) {
@@ -143,15 +47,19 @@ double Avx2ScatterScan(const NodeId* ranks, const double* dists,
       // to the next label, so finish the strictly-in-run prefix scalar-wise.
       const unsigned valid = static_cast<unsigned>(std::countr_zero(sentinel_lanes));
       for (unsigned k = 0; k < valid; ++k) {
-        const double d = rank_scratch[ranks[k]] + dists[k];
+        const double d = rank_array[ranks[k]] + dists[k];
         if (d < best) best = d;
       }
       break;
     }
     // Full in-run block: every rank is real, so the gather indexes stay
-    // inside the scratch array. (i32gather treats indexes as signed, fine
-    // for any real rank: NodeId counts stay far below 2^31.)
-    const __m256d gathered = _mm256_i32gather_pd(rank_scratch, idx, 8);
+    // inside the rank array. (i32gather treats indexes as signed, fine for
+    // any real rank: NodeId counts stay far below 2^31.) The masked form
+    // with an all-ones mask loads every lane, exactly like the unmasked
+    // gather, but starts from a defined zero source instead of the
+    // undefined one GCC flags as maybe-uninitialized.
+    const __m256d gathered = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), rank_array, idx, kAllLanes, 8);
     const __m256d sums = _mm256_add_pd(gathered, _mm256_loadu_pd(dists));
     best4 = _mm256_min_pd(best4, sums);
     ranks += 4;
@@ -168,7 +76,6 @@ double Avx2ScatterScan(const NodeId* ranks, const double* dists,
 constexpr LabelKernels kAvx2Kernels = {
     "avx2",
     &Avx2Supported,
-    &Avx2MergeDistance,
     &Avx2ScatterScan,
 };
 

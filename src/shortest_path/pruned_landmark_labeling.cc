@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -24,6 +25,87 @@ size_t ResolveBuildThreads(const PllBuildOptions& options) {
   return ThreadPool::ResolveThreadCount(options.num_threads,
                                         "TEAMDISC_PLL_THREADS");
 }
+
+/// Sentinel-terminated merge of two label runs: both cursors walk forward,
+/// matches minimize with strict < (so ties break to the lowest-ranked hub),
+/// and the loop ends when both cursors sit on their sentinels. Returns
+/// min(u_dist + v_dist) over common hubs, kInfDistance when there is none;
+/// `best_hub_rank` (may be null) receives the rank attaining it.
+double MergeDistance(const NodeId* ru, const double* du, const NodeId* rv,
+                     const double* dv, NodeId* best_hub_rank) {
+  double best = kInfDistance;
+  if (best_hub_rank == nullptr) {
+    // Distance-only path (the common point query): no hub tracking, so the
+    // minimization is a branchless minsd instead of a compare-and-branch.
+    for (;;) {
+      const NodeId a = *ru, b = *rv;
+      if (a == b) {
+        if (a == kInvalidNode) break;
+        const double d = *du + *dv;
+        best = d < best ? d : best;
+        ++ru, ++du, ++rv, ++dv;
+      } else if (a < b) {
+        ++ru, ++du;
+      } else {
+        ++rv, ++dv;
+      }
+    }
+    return best;
+  }
+  NodeId best_rank = kInvalidNode;
+  for (;;) {
+    const NodeId a = *ru, b = *rv;
+    if (a == b) {
+      if (a == kInvalidNode) break;
+      const double d = *du + *dv;
+      if (d < best) {
+        best = d;
+        best_rank = a;
+      }
+      ++ru, ++du, ++rv, ++dv;
+    } else if (a < b) {
+      ++ru, ++du;
+    } else {
+      ++rv, ++dv;
+    }
+  }
+  *best_hub_rank = best_rank;
+  return best;
+}
+
+/// See PrunedLandmarkLabeling::MakeTargetSetBound. Holds raw views of the
+/// index's CSR arrays; the index outlives it by the DistanceOracle contract.
+class HubAggregate final : public TargetSetBound {
+ public:
+  HubAggregate(const LabelKernels& kernels, const uint64_t* offsets,
+               const NodeId* ranks, const double* dists, size_t num_ranks)
+      : kernels_(kernels),
+        offsets_(offsets),
+        ranks_(ranks),
+        dists_(dists),
+        agg_(num_ranks, kInfDistance) {}
+
+  /// Folds target `t`'s label into the aggregate.
+  void Add(NodeId t, double offset) {
+    for (uint64_t k = offsets_[t]; k < offsets_[t + 1] - 1; ++k) {
+      const double d = dists_[k] + offset;
+      double& slot = agg_[ranks_[k]];
+      if (d < slot) slot = d;
+    }
+  }
+
+  double MinOffsetDistance(NodeId source) const override {
+    return kernels_.scatter_scan(ranks_ + offsets_[source],
+                                 dists_ + offsets_[source], agg_.data());
+  }
+
+ private:
+  const LabelKernels& kernels_;
+  const uint64_t* offsets_;
+  const NodeId* ranks_;
+  const double* dists_;
+  std::vector<double> agg_;  ///< rank-indexed; kInfDistance at unshared hubs
+};
 
 }  // namespace
 
@@ -220,14 +302,10 @@ void PrunedLandmarkLabeling::Flatten(
 
 double PrunedLandmarkLabeling::QueryWithHub(NodeId u, NodeId v,
                                             NodeId* best_hub_rank) const {
-  // Sentinel-terminated merge over the two runs, delegated to the selected
-  // kernel backend (scalar reference or a vectorized equivalent; all
-  // backends are bit-identical by contract and by the differential suite).
-  return kernels_->merge_distance(hub_ranks_.data() + label_offsets_[u],
-                                  label_dists_.data() + label_offsets_[u],
-                                  hub_ranks_.data() + label_offsets_[v],
-                                  label_dists_.data() + label_offsets_[v],
-                                  best_hub_rank);
+  return MergeDistance(hub_ranks_.data() + label_offsets_[u],
+                       label_dists_.data() + label_offsets_[u],
+                       hub_ranks_.data() + label_offsets_[v],
+                       label_dists_.data() + label_offsets_[v], best_hub_rank);
 }
 
 double PrunedLandmarkLabeling::Distance(NodeId u, NodeId v) const {
@@ -275,6 +353,20 @@ void PrunedLandmarkLabeling::DistancesInto(NodeId source,
   for (uint64_t k = s_begin; k < s_end; ++k) {
     scratch[hub_ranks_[k]] = kInfDistance;
   }
+}
+
+std::unique_ptr<const TargetSetBound>
+PrunedLandmarkLabeling::MakeTargetSetBound(
+    std::span<const NodeId> targets, std::span<const double> offsets) const {
+  TD_DCHECK(targets.size() == offsets.size());
+  auto aggregate = std::make_unique<HubAggregate>(
+      *kernels_, label_offsets_.data(), hub_ranks_.data(), label_dists_.data(),
+      rank_of_.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    TD_DCHECK(targets[i] < graph_->num_nodes());
+    aggregate->Add(targets[i], offsets[i]);
+  }
+  return aggregate;
 }
 
 std::vector<NodeId> PrunedLandmarkLabeling::UnwindToHub(NodeId v,
@@ -511,11 +603,24 @@ Status PrunedLandmarkLabeling::SaveToFile(const std::string& path) const {
 
 Result<std::unique_ptr<PrunedLandmarkLabeling>> PrunedLandmarkLabeling::LoadFromFile(
     const Graph& g, const std::string& path) {
-  std::ifstream in(path);
+  // One sized read into one buffer: an artifact is megabytes of text, and
+  // streaming it through a stringstream would hold extra copies of it. Only
+  // a regular file has a size to trust: a directory opens, and its end
+  // offset reads 2^63 - 1.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IOError("not a regular file: " + path);
+  }
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(g, buffer.str());
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IOError("cannot size " + path);
+  std::string content(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(content.data(), size)) {
+    return Status::IOError("short read: " + path);
+  }
+  return Deserialize(g, content);
 }
 
 Result<std::vector<NodeId>> PrunedLandmarkLabeling::ShortestPath(NodeId u,

@@ -17,11 +17,13 @@
 // frozen label set, and the batch's entries are committed in rank order.
 // Batching only weakens pruning (labels may grow slightly versus the
 // sequential order); query answers stay exact.
-// Query loops route through a runtime-dispatched kernel backend (scalar
-// reference or AVX2; see shortest_path/kernels/label_kernels.h). To make the
-// vectorized paths safe the CSR arrays are allocated 32-byte aligned and
-// carry kLabelRunPadEntries of sentinel padding past the final entry, so a
-// vector load issued anywhere inside a run stays in-bounds.
+// Point queries merge the two labels in plain scalar code. Label scans
+// against a rank-indexed array (batched distances, target-set bounds) route
+// through a runtime-dispatched kernel backend (scalar reference or AVX2; see
+// shortest_path/kernels/label_kernels.h). To make the vectorized path safe
+// the CSR arrays are allocated 32-byte aligned and carry kLabelRunPadEntries
+// of sentinel padding past the final entry, so a vector load issued anywhere
+// inside a run stays in-bounds.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +80,24 @@ class PrunedLandmarkLabeling final : public DistanceOracle {
   void DistancesInto(NodeId source, std::span<const NodeId> targets,
                      std::vector<double>& out) const override;
 
+  /// Hub aggregate of the target set (the keyword lookup table of Jiang, Fu
+  /// and Wong, "Exact Top-k Nearest Keyword Search in Large Networks",
+  /// SIGMOD 2015, on 2-hop labels): agg[rank(h)] = min over targets t with h
+  /// in L(t) of d(h, t) + offset(t), built in one pass over the targets'
+  /// labels. A source's answer is then min over h in L(source) of
+  /// d(source, h) + agg[rank(h)], one scatter_scan over L(source) whatever
+  /// the number of targets.
+  std::unique_ptr<const TargetSetBound> MakeTargetSetBound(
+      std::span<const NodeId> targets,
+      std::span<const double> offsets) const override;
+
   std::string name() const override { return "pruned_landmark_labeling"; }
   const Graph& graph() const override { return *graph_; }
 
   const PllStats& stats() const { return stats_; }
 
-  /// The kernel backend this oracle's queries run on (process-wide selection
-  /// at construction; see SelectedLabelKernels()).
+  /// The kernel backend this oracle's label scans run on (process-wide
+  /// selection at construction; see SelectedLabelKernels()).
   const LabelKernels& kernels() const { return *kernels_; }
 
   /// Swaps the kernel backend. Kernels are pure functions over the CSR

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <optional>
+
 #include "../core/test_networks.h"
+#include "common/string_util.h"
 #include "core/objectives.h"
+#include "shortest_path/pruned_landmark_labeling.h"
 
 namespace teamdisc {
 namespace {
@@ -372,11 +378,248 @@ TEST(GreedyFinderTest, BreakdownMatchesRecomputedObjective) {
                               params));
 }
 
+// ---------------------------------------------------------------------------
+// The sweep's bound pass (SweepRoot): per-skill hub aggregates must equal the
+// exact skill cost up to the slack, and the bounded sweep must answer
+// bit-identically to the unbounded one.
+
+/// Random network for the bound tests: real-valued weights, authorities
+/// log-uniform over [1e-3, 1e4], two components plus an isolated expert, and
+/// a skill ("first") held only in the first component, so roots in the
+/// second component and the isolated one reach no holder of it.
+ExpertNetwork BoundTestNetwork(NodeId n, uint64_t seed) {
+  constexpr uint32_t kSkills = 5;
+  Rng rng(seed);
+  ExpertNetworkBuilder b;
+  b.set_authority_floor(1e-3);
+  const NodeId split = n * 2 / 3;  // [0, split), [split, n - 1), {n - 1}
+  for (NodeId v = 0; v < n; ++v) {
+    std::vector<std::string> skills;
+    for (uint32_t s = 0; s < kSkills; ++s) {
+      if (v == s || rng.NextBool(0.25)) {
+        skills.push_back("s" + std::to_string(s));
+      }
+    }
+    if (v < split && (v == 0 || rng.NextBool(0.1))) skills.push_back("first");
+    b.AddExpert("e" + std::to_string(v), std::move(skills),
+                std::pow(10.0, rng.NextDouble(-3.0, 4.0)));
+  }
+  auto connect = [&](NodeId begin, NodeId end) {
+    auto pick = [&](NodeId below) {
+      return begin + static_cast<NodeId>(rng.NextBounded(below - begin));
+    };
+    for (NodeId v = begin + 1; v < end; ++v) {
+      const NodeId u = pick(v);
+      TD_CHECK_OK(b.AddEdge(u, v, rng.NextDouble(0.05, 3.0)));
+    }
+    for (NodeId i = 0; i < (end - begin) / 2; ++i) {
+      const NodeId u = pick(end), v = pick(end);
+      if (u != v) (void)b.AddEdge(u, v, rng.NextDouble(0.05, 3.0));
+    }
+  };
+  connect(0, split);
+  connect(split, n - 1);
+  return b.Finish().ValueOrDie();
+}
+
+constexpr double kGammas[] = {0.0, 0.25, 0.5, 0.75, 1.0};
+constexpr double kLambdas[] = {0.0, 0.3, 0.6, 0.9, 1.0};
+
+TEST(GreedyBoundTest, SkillBoundMatchesExactSkillCost) {
+  // For every root and skill, a·bound must lie within the slack of
+  // min_v AdjustedCost(DIST(root, v), v) with DIST from DistancesInto, and be
+  // +inf exactly when no holder is reachable.
+  ExpertNetwork net = BoundTestNetwork(90, 3);
+  size_t finite = 0, unreachable = 0;
+  std::vector<double> dists;
+  for (auto strategy : {RankingStrategy::kCC, RankingStrategy::kCACC,
+                        RankingStrategy::kSACACC}) {
+    for (double gamma : kGammas) {
+      if (strategy == RankingStrategy::kCC && gamma != 0.0) continue;
+      auto finder = GreedyTeamFinder::Make(net, Options(strategy, gamma, 0.0))
+                        .ValueOrDie();
+      for (double lambda : kLambdas) {
+        if (strategy != RankingStrategy::kSACACC && lambda != 0.0) continue;
+        ASSERT_TRUE(finder->set_lambda(lambda).ok());
+        for (SkillId s = 0; s < net.num_skills(); ++s) {
+          SCOPED_TRACE(StrFormat(
+              "%s gamma %.2f lambda %.2f skill %u",
+              std::string(RankingStrategyToString(strategy)).c_str(), gamma,
+              lambda, s));
+          const std::span<const NodeId> holders = net.ExpertsWithSkill(s);
+          auto bound = finder->MakeSkillBound(holders);
+          if (lambda == 1.0) {  // a == 0: no bound to read
+            EXPECT_FALSE(bound.has_value());
+            continue;
+          }
+          ASSERT_TRUE(bound.has_value());
+          for (NodeId root = 0; root < net.num_experts(); ++root) {
+            finder->oracle().DistancesInto(root, holders, dists);
+            double exact = kInfDistance;
+            for (size_t c = 0; c < holders.size(); ++c) {
+              if (dists[c] == kInfDistance) continue;
+              exact =
+                  std::min(exact, finder->AdjustedCost(dists[c], holders[c]));
+            }
+            const double got = bound->Cost(root);
+            if (exact == kInfDistance) {
+              ASSERT_EQ(got, kInfDistance) << "root " << root;
+              ++unreachable;
+              continue;
+            }
+            ASSERT_NE(got, kInfDistance) << "root " << root;
+            const double slack = GreedyTeamFinder::kBoundSlack *
+                                 (std::abs(got) + bound->max_abs_offset);
+            ASSERT_LE(std::abs(got - exact), slack)
+                << "root " << root << ": bound " << got << " exact " << exact;
+            ++finite;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(unreachable, 0u);
+}
+
+TEST(GreedyBoundTest, BoundIsOffWhereItCannotPrune) {
+  ExpertNetwork net = BoundTestNetwork(30, 4);
+  const std::span<const NodeId> holders = net.ExpertsWithSkill(0);
+  // The ablation policy's partial sums are not monotone.
+  FinderOptions formula = Options(RankingStrategy::kCACC);
+  formula.root_skill_policy = RootSkillPolicy::kFormulaZeroDist;
+  EXPECT_FALSE(GreedyTeamFinder::Make(net, formula)
+                   .ValueOrDie()
+                   ->MakeSkillBound(holders)
+                   .has_value());
+  // Oracles without hub labels.
+  for (OracleKind kind :
+       {OracleKind::kDijkstra, OracleKind::kBidirectionalDijkstra}) {
+    FinderOptions o = Options(RankingStrategy::kCC);
+    o.oracle = kind;
+    EXPECT_FALSE(GreedyTeamFinder::Make(net, o)
+                     .ValueOrDie()
+                     ->MakeSkillBound(holders)
+                     .has_value());
+  }
+}
+
+/// Forwards every query to an index and counts DistancesInto calls. It
+/// passes the index's target-set bound on only when `offer_bound`, so two
+/// finders over the same index differ in the bound pass alone.
+class ForwardingOracle final : public DistanceOracle {
+ public:
+  ForwardingOracle(const DistanceOracle& inner, bool offer_bound)
+      : inner_(inner), offer_bound_(offer_bound) {}
+
+  double Distance(NodeId u, NodeId v) const override {
+    return inner_.Distance(u, v);
+  }
+  Result<std::vector<NodeId>> ShortestPath(NodeId u, NodeId v) const override {
+    return inner_.ShortestPath(u, v);
+  }
+  void DistancesInto(NodeId source, std::span<const NodeId> targets,
+                     std::vector<double>& out) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    inner_.DistancesInto(source, targets, out);
+  }
+  std::unique_ptr<const TargetSetBound> MakeTargetSetBound(
+      std::span<const NodeId> targets,
+      std::span<const double> offsets) const override {
+    return offer_bound_ ? inner_.MakeTargetSetBound(targets, offsets) : nullptr;
+  }
+  std::string name() const override { return "forwarding"; }
+  const Graph& graph() const override { return inner_.graph(); }
+
+  mutable std::atomic<uint64_t> calls{0};
+
+ private:
+  const DistanceOracle& inner_;
+  const bool offer_bound_;
+};
+
+TEST(GreedyBoundTest, BoundedSweepIsBitIdenticalToUnbounded) {
+  size_t answers = 0;
+  ExpertNetwork net = BoundTestNetwork(64, 11);
+  const std::vector<std::vector<std::string>> projects = {
+      {"s0", "s1"}, {"s2", "first"}, {"first", "s1", "s3", "s4"}};
+  auto base = PrunedLandmarkLabeling::Build(net.graph()).ValueOrDie();
+  for (auto strategy : {RankingStrategy::kCC, RankingStrategy::kCACC,
+                        RankingStrategy::kSACACC}) {
+    for (double gamma : kGammas) {
+      if (strategy == RankingStrategy::kCC && gamma != 0.0) continue;
+      std::optional<TransformedGraph> transformed;
+      std::unique_ptr<PrunedLandmarkLabeling> index;
+      if (strategy != RankingStrategy::kCC) {
+        transformed.emplace(BuildAuthorityTransform(net, gamma).ValueOrDie());
+        index = PrunedLandmarkLabeling::Build(transformed->graph).ValueOrDie();
+      }
+      const DistanceOracle& pll = index ? *index : *base;
+      ForwardingOracle with_bound(pll, true);
+      ForwardingOracle without_bound(pll, false);
+      for (auto policy :
+           {RootSkillPolicy::kZeroCost, RootSkillPolicy::kFormulaZeroDist}) {
+        for (size_t threads : {1u, 3u}) {
+          for (uint32_t max_roots : {0u, 23u}) {
+            FinderOptions o = Options(strategy, gamma, 0.0);
+            o.root_skill_policy = policy;
+            o.num_threads = threads;
+            o.max_roots = max_roots;
+            auto bounded = GreedyTeamFinder::MakeWithExternalOracle(
+                               net, o, with_bound)
+                               .ValueOrDie();
+            auto plain = GreedyTeamFinder::MakeWithExternalOracle(
+                             net, o, without_bound)
+                             .ValueOrDie();
+            for (double lambda : kLambdas) {
+              if (strategy != RankingStrategy::kSACACC && lambda != 0.0) {
+                continue;
+              }
+              ASSERT_TRUE(bounded->set_lambda(lambda).ok());
+              ASSERT_TRUE(plain->set_lambda(lambda).ok());
+              for (uint32_t top_k : {1u, 5u}) {
+                ASSERT_TRUE(bounded->set_top_k(top_k).ok());
+                ASSERT_TRUE(plain->set_top_k(top_k).ok());
+                for (const auto& names : projects) {
+                  SCOPED_TRACE(StrFormat(
+                      "%s gamma %.2f lambda %.2f top_k %u policy %d "
+                      "threads %zu max_roots %u project %s",
+                      std::string(RankingStrategyToString(strategy)).c_str(),
+                      gamma, lambda, top_k, static_cast<int>(policy), threads,
+                      max_roots, Join(names, ",").c_str()));
+                  const Project project = MakeProject(net, names).ValueOrDie();
+                  auto got = bounded->FindTeams(project);
+                  auto want = plain->FindTeams(project);
+                  ASSERT_EQ(got.status().code(), want.status().code());
+                  if (want.ok()) {
+                    ExpectSameTeams(got.ValueOrDie(), want.ValueOrDie());
+                  }
+                  ++answers;
+                }
+              }
+            }
+          }
+        }
+      }
+      // Not vacuous: the bound pass spared the scan for some roots.
+      EXPECT_LT(with_bound.calls.load(), without_bound.calls.load());
+    }
+  }
+  EXPECT_EQ(answers, (1u + 5 + 25) * 2 * 2 * 2 * 2 * 3);
+}
+
 TEST(MakeProjectTest, ResolvesNames) {
   ExpertNetwork net = Figure1Network();
   Project p = MakeProject(net, {"SN", "TM"}).ValueOrDie();
   EXPECT_EQ(p.size(), 2u);
   EXPECT_TRUE(MakeProject(net, {"SN", "bogus"}).status().IsNotFound());
+}
+
+TEST(MakeProjectTest, RejectsDuplicateSkillNamingIt) {
+  ExpertNetwork net = Figure1Network();
+  Status dup = MakeProject(net, {"SN", "TM", "SN"}).status();
+  EXPECT_TRUE(dup.IsInvalidArgument()) << dup;
+  EXPECT_NE(dup.message().find("'SN'"), std::string::npos) << dup;
 }
 
 }  // namespace

@@ -135,9 +135,14 @@ TEST_F(HttpServerTest, RoutingAndValidationErrors) {
   ASSERT_TRUE(client.ok());
   HttpClient& c = client.ValueOrDie();
 
+  // 33 skill names: one over the cap, rejected before any is resolved.
+  std::string many_skills = "/find?skills=a";
+  for (int i = 1; i < 33; ++i) many_skills += ",x" + std::to_string(i);
+
   struct Case {
-    const char* target;
+    std::string target;
     int status;
+    const char* body_has = "";
   };
   const Case cases[] = {
       {"/find", 400},                        // no skills
@@ -146,6 +151,8 @@ TEST_F(HttpServerTest, RoutingAndValidationErrors) {
       {"/find?skills=a&strategy=bogus", 400},
       {"/find?skills=a&top_k=0", 400},
       {"/find?skills=a&oracle=dijkstra", 400},  // no client-chosen oracle
+      {"/find?skills=a,d,a", 400, "skill 'a' is named twice"},
+      {many_skills, 400, "at most 32 skills per request, got 33"},
       {"/nothing", 404},
       {"/metrics", 200},
       {"/healthz", 200},
@@ -156,6 +163,9 @@ TEST_F(HttpServerTest, RoutingAndValidationErrors) {
                                << response.status().ToString();
     EXPECT_EQ(response.ValueOrDie().status, expectation.status)
         << expectation.target;
+    EXPECT_NE(response.ValueOrDie().body.find(expectation.body_has),
+              std::string::npos)
+        << expectation.target << ": " << response.ValueOrDie().body;
   }
   // Unknown method: 405 with Allow.
   auto put = c.Exchange("PUT /find HTTP/1.1\r\nHost: x\r\n\r\n");

@@ -160,7 +160,9 @@ TEST(TeamDiscoveryServiceTest, ParetoServesFront) {
     // Front members are mutually non-dominated.
     for (size_t i = 0; i < front.size(); ++i) {
       for (size_t j = 0; j < front.size(); ++j) {
-        if (i != j) EXPECT_FALSE(Dominates(front[i], front[j]));
+        if (i != j) {
+          EXPECT_FALSE(Dominates(front[i], front[j]));
+        }
       }
     }
     // Pareto draws its per-cell finders from the cache: the 3-point grid

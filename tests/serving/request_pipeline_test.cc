@@ -26,6 +26,14 @@ std::string MakeSnapshot(const std::string& name, std::vector<double> gammas) {
   return dir.string();
 }
 
+/// One worker behind a 4-deep queue.
+PipelineOptions SmallPipeline() {
+  PipelineOptions options;
+  options.queue_capacity = 4;
+  options.workers = 1;
+  return options;
+}
+
 TeamRequest Request(std::vector<std::string> skills, double gamma = 0.6,
                     uint32_t top_k = 1) {
   TeamRequest request;
@@ -217,7 +225,7 @@ TEST(RequestPipelineTest, InFlightRequestCompletesAcrossEpochSwap) {
   pipeline->Shutdown();
 
   // And a post-swap request serves off the new epoch, same pipeline.
-  auto after = RequestPipeline::Start(*svc, PipelineOptions{.queue_capacity = 4, .workers = 1})
+  auto after = RequestPipeline::Start(*svc, SmallPipeline())
                    .ValueOrDie()
                    ->Submit(Request({"a", "d"}))
                    .ValueOrDie();
@@ -335,9 +343,7 @@ TEST(RequestPipelineTest, MetricsCountersMatchOutcomesExactly) {
 TEST(RequestPipelineTest, SubmitAfterShutdownFailsPrecondition) {
   const std::string dir = MakeSnapshot("pipe_shutdown", {0.6});
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
-  auto pipeline =
-      RequestPipeline::Start(*svc, PipelineOptions{.queue_capacity = 4, .workers = 1})
-          .ValueOrDie();
+  auto pipeline = RequestPipeline::Start(*svc, SmallPipeline()).ValueOrDie();
   pipeline->Shutdown();
   auto rejected = pipeline->Submit(Request({"a"}));
   ASSERT_FALSE(rejected.ok());

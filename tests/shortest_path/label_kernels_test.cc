@@ -1,10 +1,10 @@
 // Differential suite for the label-kernel backends: every compiled backend
-// the CPU can run must be BIT-identical to the scalar reference — same
-// double bits, same best-hub rank — over adversarially shaped label runs
-// (empty, sentinel-only, no common hub, duplicates at run boundaries, run
-// lengths straddling the vector widths) and over randomized runs; plus a
-// seeded random-graph sweep asserting PLL-under-each-kernel == Dijkstra on
-// dyadic weights, and coverage of the TEAMDISC_KERNEL resolution rules.
+// the CPU can run must be BIT-identical to the scalar reference on
+// scatter_scan — same double bits — over adversarially shaped label runs
+// (empty, run lengths straddling the vector width, all-inf and negative rank
+// arrays) and over randomized runs; plus a seeded random-graph sweep
+// asserting PLL-under-each-kernel == Dijkstra on dyadic weights, and
+// coverage of the TEAMDISC_KERNEL resolution rules.
 #include "shortest_path/kernels/label_kernels.h"
 
 #include <gtest/gtest.h>
@@ -50,37 +50,6 @@ std::vector<const LabelKernels*> RunnableKernels() {
   return out;
 }
 
-/// Asserts `kernel` matches the scalar reference on merge_distance for the
-/// (u, v) pair of runs, in both argument orders, comparing raw double bits
-/// and the reported best hub rank.
-void ExpectMergeMatchesScalar(const LabelKernels& kernel, const PaddedRun& u,
-                              const PaddedRun& v, const char* what) {
-  const LabelKernels& ref = ScalarLabelKernels();
-  for (int swap = 0; swap < 2; ++swap) {
-    const PaddedRun& a = swap ? v : u;
-    const PaddedRun& b = swap ? u : v;
-    NodeId ref_rank = 123, got_rank = 456;
-    const double ref_d = ref.merge_distance(a.ranks.data(), a.dists.data(),
-                                            b.ranks.data(), b.dists.data(),
-                                            &ref_rank);
-    const double got_d = kernel.merge_distance(a.ranks.data(), a.dists.data(),
-                                               b.ranks.data(), b.dists.data(),
-                                               &got_rank);
-    EXPECT_EQ(std::bit_cast<uint64_t>(ref_d), std::bit_cast<uint64_t>(got_d))
-        << kernel.name << " merge mismatch (" << what << ", swap=" << swap
-        << "): scalar=" << ref_d << " got=" << got_d;
-    EXPECT_EQ(ref_rank, got_rank)
-        << kernel.name << " best-hub mismatch (" << what << ", swap=" << swap
-        << ")";
-    // The null best_hub_rank path must answer identically too.
-    EXPECT_EQ(std::bit_cast<uint64_t>(got_d),
-              std::bit_cast<uint64_t>(kernel.merge_distance(
-                  a.ranks.data(), a.dists.data(), b.ranks.data(),
-                  b.dists.data(), nullptr)))
-        << kernel.name << " null-out mismatch (" << what << ")";
-  }
-}
-
 void ExpectScanMatchesScalar(const LabelKernels& kernel, const PaddedRun& t,
                              const std::vector<double>& scratch,
                              const char* what) {
@@ -98,76 +67,6 @@ TEST(LabelKernelsTest, ScalarIsAlwaysCompiledAndFirst) {
   ASSERT_GE(compiled.size(), 1u);
   EXPECT_STREQ(compiled[0]->name, "scalar");
   EXPECT_TRUE(compiled[0]->cpu_supported());
-}
-
-TEST(LabelKernelsTest, MergeNastyShapesDifferential) {
-  const PaddedRun empty({});
-  const PaddedRun single({{3, 1.5}});
-  const PaddedRun other_single({{7, 2.0}});
-  const PaddedRun same_single({{3, 0.25}});
-  // Widths around the 8-lane rank compare: 7, 8, 9 entries.
-  auto ascending = [](NodeId first, size_t count, double base) {
-    std::vector<std::pair<NodeId, double>> e;
-    for (size_t k = 0; k < count; ++k) {
-      e.push_back({static_cast<NodeId>(first + 2 * k), base + 0.25 * k});
-    }
-    return e;
-  };
-  const PaddedRun w7(ascending(0, 7, 1.0));
-  const PaddedRun w8(ascending(1, 8, 2.0));
-  const PaddedRun w9(ascending(0, 9, 0.5));
-  const PaddedRun w16(ascending(4, 16, 3.0));
-  const PaddedRun w17(ascending(3, 17, 0.75));
-  // Disjoint rank sets: no common hub anywhere.
-  const PaddedRun odd(ascending(1, 9, 1.0));    // 1,3,5,...
-  const PaddedRun even(ascending(0, 9, 1.0));   // 0,2,4,...
-  // Common hubs exactly at the run boundaries (first and last entries).
-  const PaddedRun boundary_a({{0, 1.0}, {5, 2.0}, {9, 0.5}});
-  const PaddedRun boundary_b({{0, 3.0}, {6, 1.0}, {9, 4.0}});
-  // Distance ties: two hubs attain the same minimum; lowest rank must win.
-  const PaddedRun tie_a({{2, 1.0}, {4, 2.0}});
-  const PaddedRun tie_b({{2, 3.0}, {4, 2.0}});
-  // Long run against short: exercises the movemask skip loop repeatedly.
-  const PaddedRun long_run(ascending(0, 40, 1.0));
-  const PaddedRun sparse({{33, 0.25}});
-
-  for (const LabelKernels* k : RunnableKernels()) {
-    ExpectMergeMatchesScalar(*k, empty, empty, "both empty");
-    ExpectMergeMatchesScalar(*k, empty, w8, "empty vs width-8");
-    ExpectMergeMatchesScalar(*k, single, other_single, "disjoint singletons");
-    ExpectMergeMatchesScalar(*k, single, same_single, "matching singletons");
-    ExpectMergeMatchesScalar(*k, w7, w8, "7 vs 8");
-    ExpectMergeMatchesScalar(*k, w8, w9, "8 vs 9");
-    ExpectMergeMatchesScalar(*k, w9, w16, "9 vs 16");
-    ExpectMergeMatchesScalar(*k, w16, w17, "16 vs 17");
-    ExpectMergeMatchesScalar(*k, odd, even, "no common hub");
-    ExpectMergeMatchesScalar(*k, boundary_a, boundary_b, "boundary hubs");
-    ExpectMergeMatchesScalar(*k, tie_a, tie_b, "tied minimum");
-    ExpectMergeMatchesScalar(*k, long_run, sparse, "long vs sparse");
-  }
-}
-
-TEST(LabelKernelsTest, MergeRandomizedDifferential) {
-  Rng rng(20260809);
-  for (int iter = 0; iter < 400; ++iter) {
-    // Random sorted rank subsets over a small universe force many collisions
-    // and many disjoint stretches; dyadic distances keep sums exact.
-    auto random_run = [&rng]() {
-      std::vector<std::pair<NodeId, double>> e;
-      const NodeId universe = 64;
-      for (NodeId r = 0; r < universe; ++r) {
-        if (rng.NextBounded(3) == 0) {
-          e.push_back({r, 0.25 * static_cast<double>(rng.NextBounded(64))});
-        }
-      }
-      return e;
-    };
-    const PaddedRun u(random_run());
-    const PaddedRun v(random_run());
-    for (const LabelKernels* k : RunnableKernels()) {
-      ExpectMergeMatchesScalar(*k, u, v, "randomized");
-    }
-  }
 }
 
 TEST(LabelKernelsTest, ScatterScanNastyShapesAndRandomizedDifferential) {
@@ -200,6 +99,19 @@ TEST(LabelKernelsTest, ScatterScanNastyShapesAndRandomizedDifferential) {
   const PaddedRun run({{1, 1.0}, {5, 0.5}, {9, 2.0}, {12, 0.25}, {40, 1.0}});
   for (const LabelKernels* k : RunnableKernels()) {
     ExpectScanMatchesScalar(*k, run, empty_scratch, "all-inf scratch");
+  }
+  // A hub aggregate holds d(h, t) + offset(t), and offsets may be negative,
+  // so the rank array can hold negative values (and sums exactly 0).
+  std::vector<double> aggregate(universe, kInfDistance);
+  for (NodeId r = 0; r < universe; r += 2) {
+    aggregate[r] = -0.25 * static_cast<double>(rng.NextBounded(32));
+  }
+  const PaddedRun long_run({{0, 1.0}, {2, 0.5}, {4, 7.75}, {6, 0.25},
+                            {8, 2.0}, {10, 3.0}, {12, 0.0}, {14, 1.25},
+                            {16, 4.0}});
+  for (const LabelKernels* k : RunnableKernels()) {
+    ExpectScanMatchesScalar(*k, run, aggregate, "negative rank array");
+    ExpectScanMatchesScalar(*k, long_run, aggregate, "negative, 9 entries");
   }
 }
 
@@ -286,16 +198,30 @@ TEST(LabelKernelsTest, AlignedAllocatorDelivers32ByteBases) {
 
 TEST(LabelKernelsTest, KernelSwapKeepsAnswersIdentical) {
   // Kernels are pure functions over the CSR arrays, so swapping the backend
-  // on a live index must not change a single bit of any answer.
+  // on a live index must not change a single bit of any answer: batched
+  // distances, and target-set bounds built before or after the swap.
   Rng rng(7);
   Graph g = DyadicWeightGraph(40, 30, rng);
   auto pll = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  // Kernel swapping is safe at any time: answers stay identical.
-  const double before = pll->Distance(3, 17);
+  const std::vector<NodeId> targets = {17, 4, 29, 33};
+  const std::vector<double> offsets = {0.5, -0.75, 0.0, 1.25};
+  std::vector<double> before;
+  pll->DistancesInto(3, targets, before);
+  const double bound_before =
+      pll->MakeTargetSetBound(targets, offsets)->MinOffsetDistance(3);
   for (const LabelKernels* k : RunnableKernels()) {
     pll->UseKernelsForTesting(*k);
-    EXPECT_EQ(std::bit_cast<uint64_t>(pll->Distance(3, 17)),
-              std::bit_cast<uint64_t>(before))
+    std::vector<double> after;
+    pll->DistancesInto(3, targets, after);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(after[i]),
+                std::bit_cast<uint64_t>(before[i]))
+          << k->name << " target " << targets[i];
+    }
+    const double bound_after =
+        pll->MakeTargetSetBound(targets, offsets)->MinOffsetDistance(3);
+    EXPECT_EQ(std::bit_cast<uint64_t>(bound_after),
+              std::bit_cast<uint64_t>(bound_before))
         << k->name;
   }
 }

@@ -270,6 +270,11 @@ TEST(PllPersistenceTest, LoadMissingFileFails) {
   EXPECT_TRUE(PrunedLandmarkLabeling::LoadFromFile(g, "/no/such/index.txt")
                   .status()
                   .IsIOError());
+  // A directory opens like a file but has no size to read; the load must
+  // fail cleanly instead of sizing a buffer from its end offset.
+  EXPECT_TRUE(PrunedLandmarkLabeling::LoadFromFile(g, testing::TempDir())
+                  .status()
+                  .IsIOError());
 }
 
 }  // namespace
