@@ -9,6 +9,10 @@
 //   BM_PllBuild                     - index construction cost
 //   BM_PllQuery / BM_DijkstraQuery  - DIST microbenchmarks (2-hop cover vs
 //                                     re-running Dijkstra per query)
+//   BM_PllBatchedDistances[Scalar]  - batched DIST on the dispatched kernel
+//                                     backend and on the scalar reference;
+//                                     their ratio is the CI perf gate
+//                                     (tools/check_bench_regression.py)
 #include <benchmark/benchmark.h>
 
 #include "common/env.h"
@@ -22,8 +26,7 @@ namespace teamdisc {
 namespace {
 
 /// Label naming the kernel backend the PLL hot loops dispatched to, so every
-/// recorded number says which implementation produced it (BENCH_pll.json
-/// keys scalar-vs-avx2 runs off this).
+/// recorded number says which implementation produced it.
 std::string KernelLabel() {
   return std::string("kernel=") + SelectedLabelKernels().name;
 }
@@ -119,25 +122,47 @@ BENCHMARK(BM_PllBuildThreads)
     ->UseRealTime()
     ->Iterations(1);
 
-void BM_PllBatchedDistances(benchmark::State& state) {
-  // Distances(source, targets) with |targets| = Arg — the shape of the
-  // greedy finder's inner loop (one root against all holders of a skill).
-  auto& ctx = Context();
-  const DistanceOracle* oracle = ctx.BaseOracle().ValueOrDie();
+/// Distances(source, targets) with |targets| = Arg — the shape of the
+/// greedy finder's inner loop (one root against all holders of a skill).
+/// The same seeded queries on every oracle, so two runs differ only in the
+/// oracle's kernel backend.
+void BatchedDistances(benchmark::State& state, const DistanceOracle& oracle) {
   Rng rng(2);
-  NodeId n = ctx.network().num_experts();
+  NodeId n = Context().network().num_experts();
   std::vector<NodeId> targets(static_cast<size_t>(state.range(0)));
   for (NodeId& t : targets) t = static_cast<NodeId>(rng.NextBounded(n));
   std::vector<double> out;
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(n));
-    oracle->DistancesInto(s, targets, out);
+    oracle.DistancesInto(s, targets, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_PllBatchedDistances(benchmark::State& state) {
+  BatchedDistances(state, *Context().BaseOracle().ValueOrDie());
   state.SetLabel(KernelLabel());
 }
 BENCHMARK(BM_PllBatchedDistances)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_PllBatchedDistancesScalar(benchmark::State& state) {
+  // A copy of the base index pinned to the scalar reference backend: the
+  // denominator of the perf gate's ratio, timed in the same process as the
+  // dispatched run above.
+  static const PrunedLandmarkLabeling* scalar = [] {
+    const auto& base = dynamic_cast<const PrunedLandmarkLabeling&>(
+        *Context().BaseOracle().ValueOrDie());
+    auto copy =
+        PrunedLandmarkLabeling::Deserialize(base.graph(), base.Serialize())
+            .ValueOrDie();
+    copy->UseKernelsForTesting(ScalarLabelKernels());
+    return copy.release();
+  }();
+  BatchedDistances(state, *scalar);
+  state.SetLabel("kernel=scalar");
+}
+BENCHMARK(BM_PllBatchedDistancesScalar)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_PllQuery(benchmark::State& state) {
   auto& ctx = Context();

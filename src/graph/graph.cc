@@ -9,22 +9,32 @@ namespace teamdisc {
 
 namespace {
 
-// FNV-1a 64. Mixes the node count first so an edgeless 3-node graph and an
-// edgeless 4-node graph differ, then every canonical edge in sorted order.
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
+constexpr uint64_t kFnv1a64Prime = 1099511628211ULL;
 
+// Feeds `value` to the hash least significant byte first, whatever the host
+// byte order, so a fingerprint is the same on every platform. The
+// fingerprints mix the node count first, so an edgeless 3-node graph and an
+// edgeless 4-node graph differ, then every canonical edge in sorted order.
 void Mix64(uint64_t& h, uint64_t value) {
+  char bytes[8];
   for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
+    bytes[byte] = static_cast<char>(value >> (8 * byte));
   }
+  h = Fnv1a64(std::string_view(bytes, sizeof(bytes)), h);
 }
 
 }  // namespace
 
+uint64_t Fnv1a64(std::string_view bytes, uint64_t state) {
+  for (char c : bytes) {
+    state ^= static_cast<unsigned char>(c);
+    state *= kFnv1a64Prime;
+  }
+  return state;
+}
+
 uint64_t WeightedEdgeFingerprint(const Graph& g) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   Mix64(h, g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (const Neighbor& n : g.Neighbors(u)) {
@@ -38,7 +48,7 @@ uint64_t WeightedEdgeFingerprint(const Graph& g) {
 
 uint64_t WeightedEdgeSetFingerprint(NodeId num_nodes,
                                     std::span<const Edge> edges) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   Mix64(h, num_nodes);
   for (const Edge& e : edges) {
     TD_DCHECK(e.u <= e.v);

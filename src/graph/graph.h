@@ -7,6 +7,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -123,6 +124,14 @@ class Graph {
   std::vector<size_t> offsets_{0};
   std::vector<Neighbor> neighbors_;
 };
+
+/// FNV-1a 64 offset basis: the state Fnv1a64 starts from.
+inline constexpr uint64_t kFnv1a64Offset = 1469598103934665603ULL;
+
+/// 64-bit FNV-1a over `bytes`, one byte at a time, continuing from `state`.
+/// The one hash behind the graph fingerprints below and the checksum that
+/// seals a PLL index artifact.
+uint64_t Fnv1a64(std::string_view bytes, uint64_t state = kFnv1a64Offset);
 
 /// 64-bit FNV-1a fingerprint of a graph's weighted edge set: node count plus
 /// every canonical (u, v, weight-bits) triple in sorted order. Two graphs

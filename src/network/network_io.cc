@@ -93,9 +93,6 @@ Result<std::vector<std::string>> DecodeSkillList(std::string_view token) {
 
 std::string SerializeNetwork(const ExpertNetwork& net) {
   std::string out = "# teamdisc expert network v2\n";
-  // The format line tells the reader names are percent-escaped; v1 files
-  // (no format line) carry legacy underscore-folded names and are read
-  // literally.
   out += "format 2\n";
   out += StrFormat("experts %u\n", net.num_experts());
   for (NodeId id = 0; id < net.num_experts(); ++id) {
@@ -122,16 +119,12 @@ Result<ExpertNetwork> DeserializeNetwork(const std::string& content) {
   std::string line;
   size_t line_no = 0;
   enum class Section { kStart, kExperts, kEdges } section = Section::kStart;
-  uint64_t format_version = 1;  // files without a format line are legacy v1
+  bool saw_format = false;
   uint64_t expected_experts = 0, expected_edges = 0;
   uint64_t seen_experts = 0, seen_edges = 0;
   ExpertNetworkBuilder builder;
 
-  // v2 names are percent-escaped; v1 names are stored literally (their
-  // whitespace was already lost to the old writer's underscore folding).
-  auto decode_name = [&format_version,
-                      &line_no](std::string_view token) -> Result<std::string> {
-    if (format_version < 2) return std::string(token);
+  auto decode_name = [&line_no](std::string_view token) -> Result<std::string> {
     Result<std::string> decoded = UnescapeNetworkToken(token);
     if (!decoded.ok()) {
       return decoded.status().WithContext(StrFormat("line %zu", line_no));
@@ -149,13 +142,18 @@ Result<ExpertNetwork> DeserializeNetwork(const std::string& content) {
         return Status::InvalidArgument(
             StrFormat("line %zu: malformed format header", line_no));
       }
-      TD_ASSIGN_OR_RETURN(format_version, ParseUint64(fields[1]));
-      if (format_version < 1 || format_version > 2) {
+      TD_ASSIGN_OR_RETURN(uint64_t format_version, ParseUint64(fields[1]));
+      if (format_version != 2) {
         return Status::InvalidArgument(
             StrFormat("line %zu: unsupported network format %llu", line_no,
                       static_cast<unsigned long long>(format_version)));
       }
+      saw_format = true;
       continue;
+    }
+    if (!saw_format) {
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: expected the 'format 2' line first", line_no));
     }
     if (fields[0] == "experts") {
       if (section != Section::kStart || fields.size() != 2) {

@@ -8,9 +8,8 @@
 //   <u> <v> <weight>
 //
 // Names are percent-escaped ('%', whitespace, and ',' become %XX; the empty
-// string is "%00") so save -> load preserves them exactly. Files without the
-// `format` line are legacy v1: their names were underscore-folded by the old
-// writer and are read back literally.
+// string is "%00") so save -> load preserves them exactly. The `format 2`
+// line must come first; a file without it is rejected.
 #pragma once
 
 #include <string>

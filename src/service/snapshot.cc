@@ -66,7 +66,7 @@ Status AtomicWriteFile(const fs::path& path, const std::string& content,
     fs::remove(tmp, ignored);
   };
   {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IOError("cannot open for writing: " + tmp.string());
     if (Status faulted = FaultInjection::MaybeFail(write_point); !faulted.ok()) {
       out.close();
@@ -154,9 +154,9 @@ Result<SnapshotManifest> ParseSnapshotManifest(const std::string& content) {
     auto fields = SplitWhitespace(stripped);
     if (!saw_header) {
       if (fields.size() != 2 || fields[0] != "teamdisc-snapshot" ||
-          (fields[1] != "v1" && fields[1] != "v2")) {
+          fields[1] != "v2") {
         return Status::InvalidArgument(StrFormat(
-            "line %zu: not a teamdisc-snapshot v1/v2 manifest", line_no));
+            "line %zu: not a teamdisc-snapshot v2 manifest", line_no));
       }
       saw_header = true;
       continue;
@@ -187,8 +187,7 @@ Result<SnapshotManifest> ParseSnapshotManifest(const std::string& content) {
       continue;
     }
     if (fields[0] == "index") {
-      // 5 fields = legacy v1 entry (no per-artifact fingerprint); 6 = v2.
-      if (!saw_network || (fields.size() != 5 && fields.size() != 6)) {
+      if (!saw_network || fields.size() != 6) {
         return Status::InvalidArgument(
             StrFormat("line %zu: malformed index line", line_no));
       }
@@ -214,9 +213,7 @@ Result<SnapshotManifest> ParseSnapshotManifest(const std::string& content) {
         return Status::InvalidArgument(
             StrFormat("line %zu: artifact file must be a bare name", line_no));
       }
-      if (fields.size() == 6) {
-        TD_ASSIGN_OR_RETURN(entry.fingerprint, ParseHex64(fields[5]));
-      }
+      TD_ASSIGN_OR_RETURN(entry.fingerprint, ParseHex64(fields[5]));
       manifest.entries.push_back(std::move(entry));
       continue;
     }
@@ -377,8 +374,9 @@ Result<std::unique_ptr<DistanceOracle>> LoadIndexArtifact(
   if (e == nullptr) {
     return std::unique_ptr<DistanceOracle>(nullptr);  // no matching artifact
   }
-  // The artifact's v3 fingerprint ties it to the exact weighted graph it
-  // was built over; Deserialize rejects a stale or cross-gamma artifact.
+  // The artifact's fingerprint ties it to the exact weighted graph it was
+  // built over; Deserialize rejects a stale, cross-gamma, corrupt or
+  // older-format artifact.
   const std::string path = (fs::path(dir) / e->file).string();
   auto pll = PrunedLandmarkLabeling::LoadFromFile(search_graph, path);
   if (!pll.ok()) {

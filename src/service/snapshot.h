@@ -7,7 +7,7 @@
 //   manifest.txt    versioned listing (format below)
 //   network.net     the expert network (network_io text format)
 //   index-*.pll     one PrunedLandmarkLabeling artifact per entry, in the
-//                   v3 serialized format (carries a weighted-edge-set
+//                   checksummed binary v4 format (carries a weighted-edge-set
 //                   fingerprint of the graph it was built over, so a stale
 //                   artifact can never be loaded against the wrong weights)
 //
@@ -17,11 +17,6 @@
 //   network <file> <weighted-edge-fingerprint-hex of the base graph>
 //   index base 0 <kind> <file> <search-graph-fingerprint-hex>
 //   index transform <gamma_bp> <kind> <file> <search-graph-fingerprint-hex>
-//
-// v1 manifests (no generation line, 5-field index lines without the
-// per-artifact fingerprint) are still parsed; they read back as generation
-// 0 with fingerprint 0 ("unknown" — update paths rebuild such artifacts
-// instead of trusting them).
 //
 // `base` entries index the network's own graph (the CC strategy's search
 // graph); `transform` entries index the authority transform G' built at
@@ -55,9 +50,9 @@ struct SnapshotIndexEntry {
   OracleKind kind = OracleKind::kPrunedLandmarkLabeling;
   std::string file;          ///< artifact file name, relative to the snapshot dir
   /// WeightedEdgeFingerprint of the search graph the artifact indexes
-  /// (mirrors the artifact's own v3 header). Update paths compare this
-  /// against the post-delta search graph to decide keep vs rebuild without
-  /// deserializing the artifact. 0 = unknown (legacy v1 manifest entry).
+  /// (mirrors the artifact's own header). Update paths compare this against
+  /// the post-delta search graph to decide keep vs rebuild without
+  /// deserializing the artifact.
   uint64_t fingerprint = 0;
 };
 
@@ -130,8 +125,8 @@ Status AddIndexArtifact(const std::string& dir, SnapshotManifest& manifest,
 /// Loads the artifact for (transformed, gamma_bp, kind) against
 /// `search_graph`. Returns a null pointer when the manifest has no matching
 /// entry; fails InvalidArgument when the artifact exists but does not match
-/// the graph (v3 fingerprint check inside PLL Deserialize). Failures carry
-/// the artifact path plus the expected (manifest) and actual (graph)
+/// the graph or fails the v4 reader's checks (PLL Deserialize). Failures
+/// carry the artifact path plus the expected (manifest) and actual (graph)
 /// fingerprints, so a stale-snapshot report names the exact broken file.
 Result<std::unique_ptr<DistanceOracle>> LoadIndexArtifact(
     const std::string& dir, const SnapshotManifest& manifest, bool transformed,

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <set>
-#include <tuple>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -96,11 +94,12 @@ void TeamDiscoveryService::InstallArtifactHooks(OracleCache& cache) {
         // Known-stale artifacts (recorded fingerprint != this search graph,
         // the normal case for invalidated indexes during an epoch swap) are
         // skipped without touching the disk: deserializing them could only
-        // fail the v3 check. Returning "no artifact" sends the cache down
-        // the fresh-build path, and the saver repairs the snapshot after.
+        // fail the fingerprint check. Returning "no artifact" sends the
+        // cache down the fresh-build path, and the saver repairs the
+        // snapshot after.
         if (const SnapshotIndexEntry* entry = FindSnapshotIndexEntry(
                 manifest, info.transformed, info.gamma_bp, info.kind);
-            entry != nullptr && entry->fingerprint != 0 &&
+            entry != nullptr &&
             entry->fingerprint != WeightedEdgeFingerprint(search_graph)) {
           return std::unique_ptr<DistanceOracle>(nullptr);
         }
@@ -270,35 +269,14 @@ Result<UpdateReport> TeamDiscoveryService::ApplyDeltaLocked(
   report.entries_adopted =
       next->cache->AdoptCompatibleEntries(*current->cache, current->net);
 
-  // Refresh sweep over every index the old epoch was serving (resident
-  // entries) plus every artifact the snapshot lists: adopted keys hit,
-  // still-valid artifacts load, invalidated keys rebuild — and persist via
-  // the saver hook — all in the background while `current` keeps serving.
-  std::vector<OracleCache::EntryInfo> keys =
-      current->cache->ResidentEntries();
-  {
-    SnapshotManifest manifest;
-    {
-      std::lock_guard<std::mutex> lock(manifest_mu_);
-      manifest = manifest_;
-    }
-    for (const SnapshotIndexEntry& e : manifest.entries) {
-      OracleCache::EntryInfo info;
-      info.transformed = e.transformed;
-      info.gamma_bp = e.gamma_bp;
-      info.gamma = e.transformed ? e.gamma_bp / 10000.0 : 0.0;
-      info.kind = e.kind;
-      keys.push_back(info);
-    }
-  }
+  // Refresh sweep over every index the old epoch was serving (its resident
+  // entries, one key each): adopted keys hit, still-valid artifacts load,
+  // invalidated keys rebuild — and persist via the saver hook — all in the
+  // background while `current` keeps serving. A snapshot index nobody
+  // reads keeps its old manifest fingerprint; the loader's known-stale skip
+  // rebuilds it on first use.
   const OracleCache::Stats before = next->cache->stats();
-  std::set<std::tuple<bool, int, int>> seen;
-  for (const OracleCache::EntryInfo& info : keys) {
-    if (!seen.insert({info.transformed, info.gamma_bp,
-                      static_cast<int>(info.kind)})
-             .second) {
-      continue;
-    }
+  for (const OracleCache::EntryInfo& info : current->cache->ResidentEntries()) {
     // Any transform strategy resolves to the per-gamma G' entry; CC to the
     // base entry — mirroring how requests key the cache.
     const RankingStrategy strategy =

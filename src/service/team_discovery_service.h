@@ -17,8 +17,9 @@
 // (network + index cache); every request pins the current epoch via
 // shared_ptr for its whole lifetime. ApplyDelta builds the successor epoch
 // in the background — materializing the post-delta network, adopting every
-// index whose search-graph fingerprint is unchanged, rebuilding only the
-// invalidated ones — and then atomically swaps the epoch pointer:
+// resident index whose search-graph fingerprint is unchanged, rebuilding
+// only the invalidated resident ones — and then atomically swaps the epoch
+// pointer:
 //
 //      requests ──────▶ epoch N (serving) ──────────────┐
 //        ApplyDelta ──▶ build epoch N+1 (background)    │ in-flight requests
@@ -159,15 +160,17 @@ class TeamDiscoveryService {
   Result<std::vector<ParetoTeam>> Pareto(const ParetoRequest& request) const;
 
   /// Applies a network delta live: materializes the successor network,
-  /// builds its index cache in the background (adopting every index whose
-  /// search-graph fingerprint the delta did not change, rebuilding the
-  /// rest), optionally commits the update to the snapshot directory
-  /// (ServiceOptions::persist_updates), and atomically swaps the serving
-  /// epoch. Requests in flight finish on the old epoch; requests arriving
-  /// after the swap see the post-delta world. Fails InvalidArgument (and
-  /// keeps serving the old epoch untouched) when the delta is invalid
-  /// against the current network. Concurrent ApplyDelta calls are
-  /// serialized. Thread-safe against all serving methods.
+  /// builds its index cache in the background (adopting every resident
+  /// index whose search-graph fingerprint the delta did not change,
+  /// rebuilding the other resident ones; an index nobody has read stays out
+  /// of the swap and builds on first use), optionally commits the update
+  /// to the snapshot directory (ServiceOptions::persist_updates), and
+  /// atomically swaps the serving epoch. Requests in flight finish on the
+  /// old epoch; requests arriving after the swap see the post-delta world.
+  /// Fails InvalidArgument (and keeps serving the old epoch untouched) when
+  /// the delta is invalid against the current network. Concurrent
+  /// ApplyDelta calls are serialized. Thread-safe against all serving
+  /// methods.
   Result<UpdateReport> ApplyDelta(const ExpertNetworkDelta& delta);
 
   /// The current epoch's network, shared: hold the pointer for as long as

@@ -1,11 +1,12 @@
 #include "shortest_path/pruned_landmark_labeling.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
-#include <sstream>
 #include <thread>
 
 #include "common/env.h"
@@ -18,6 +19,51 @@
 namespace teamdisc {
 
 namespace {
+
+// Index artifact, format v4: the in-memory CSR arrays, little-endian, behind
+// a fixed header and ahead of a checksum (layout table in docs/FORMATS.md).
+//   0  magic "TDPLLIDX"      8  u32 version = 4     12  u32 num_nodes
+//   16 u64 num_edges         24 u64 flat (entries + one sentinel per node)
+//   32 u64 WeightedEdgeFingerprint of the graph
+//   40 order u32[n], label_offsets u64[n+1], hub_ranks u32[flat],
+//      label_dists f64[flat], label_parents u32[flat]
+//   then u64 Fnv1a64 of every byte before it.
+// The bytes are the host's own, so the format needs a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the PLL index artifact is read and written little-endian");
+
+constexpr char kArtifactMagic[8] = {'T', 'D', 'P', 'L', 'L', 'I', 'D', 'X'};
+constexpr uint32_t kArtifactVersion = 4;
+constexpr size_t kArtifactHeaderBytes = 40;
+/// A flat entry's bytes across hub_ranks, label_dists and label_parents.
+constexpr uint64_t kBytesPerEntry =
+    sizeof(NodeId) + sizeof(double) + sizeof(NodeId);
+
+/// Artifact size for `n` nodes and `flat` entries; exact for any n, since
+/// n is 32-bit (callers keep `flat` small enough not to overflow).
+uint64_t ArtifactBytes(uint64_t n, uint64_t flat) {
+  return kArtifactHeaderBytes + n * sizeof(NodeId) +
+         (n + 1) * sizeof(uint64_t) + flat * kBytesPerEntry + sizeof(uint64_t);
+}
+
+template <typename T>
+T GetAt(const std::string& in, size_t at) {
+  T value;
+  std::memcpy(&value, in.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void AppendArray(std::string& out, const T* data, size_t count) {
+  out.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+}
+
+/// Copies `count` values from `in` at byte `at` into `out`; advances `at`.
+template <typename T>
+void CopyArray(const std::string& in, size_t& at, T* out, size_t count) {
+  std::memcpy(out, in.data() + at, count * sizeof(T));
+  at += count * sizeof(T);
+}
 
 /// Effective worker count: explicit option, else TEAMDISC_PLL_THREADS, else
 /// the hardware concurrency.
@@ -392,221 +438,152 @@ std::vector<NodeId> PrunedLandmarkLabeling::UnwindToHub(NodeId v,
 }
 
 std::string PrunedLandmarkLabeling::Serialize() const {
-  // v3 mirrors the in-memory flat CSR (sentinels excluded):
-  //   pll v3 <num_nodes> <num_edges> <total_entries> <graph-fingerprint-hex>
-  //   order <rank0_node> <rank1_node> ...
-  //   sizes <entries(node 0)> <entries(node 1)> ...
-  //   ranks <all hub_ranks, node-major>
-  //   dists <all distances, node-major>
-  //   parents <all parents, node-major; -1 encodes "at the hub">
-  // The fingerprint covers the weighted edge set (see WeightedEdgeFingerprint)
-  // so a v3 artifact can never be loaded against a graph whose weights differ
-  // from the build-time graph, even when the shape matches.
   const NodeId n = graph_->num_nodes();
-  std::string out =
-      StrFormat("pll v3 %u %zu %zu %016llx\n", n, graph_->num_edges(),
-                stats_.total_entries,
-                static_cast<unsigned long long>(WeightedEdgeFingerprint(*graph_)));
-  out += "order";
-  for (NodeId v : order_) out += StrFormat(" %u", v);
-  out += "\nsizes";
-  for (NodeId v = 0; v < n; ++v) out += StrFormat(" %zu", LabelSize(v));
-  out += "\nranks";
-  for (NodeId v = 0; v < n; ++v) {
-    for (uint64_t k = label_offsets_[v]; k < label_offsets_[v + 1] - 1; ++k) {
-      out += StrFormat(" %u", hub_ranks_[k]);
-    }
-  }
-  out += "\ndists";
-  for (NodeId v = 0; v < n; ++v) {
-    for (uint64_t k = label_offsets_[v]; k < label_offsets_[v + 1] - 1; ++k) {
-      out += StrFormat(" %.17g", label_dists_[k]);
-    }
-  }
-  out += "\nparents";
-  for (NodeId v = 0; v < n; ++v) {
-    for (uint64_t k = label_offsets_[v]; k < label_offsets_[v + 1] - 1; ++k) {
-      out += StrFormat(
-          " %d", label_parents_[k] == kInvalidNode
-                     ? -1
-                     : static_cast<int>(label_parents_[k]));
-    }
-  }
-  out += '\n';
+  const uint64_t flat = label_offsets_[n];
+  const uint64_t header[] = {graph_->num_edges(), flat,
+                             WeightedEdgeFingerprint(*graph_)};
+  std::string out;
+  out.reserve(ArtifactBytes(n, flat));
+  out.append(kArtifactMagic, sizeof(kArtifactMagic));
+  AppendArray(out, &kArtifactVersion, 1);
+  AppendArray(out, &n, 1);
+  AppendArray(out, header, 3);
+  // The pad tail past label_offsets_[n] is an in-memory concern of the
+  // kernels; the reader rebuilds it.
+  AppendArray(out, order_.data(), n);
+  AppendArray(out, label_offsets_.data(), n + 1);
+  AppendArray(out, hub_ranks_.data(), flat);
+  AppendArray(out, label_dists_.data(), flat);
+  AppendArray(out, label_parents_.data(), flat);
+  const uint64_t checksum = Fnv1a64(out);
+  AppendArray(out, &checksum, 1);
   return out;
 }
 
 Result<std::unique_ptr<PrunedLandmarkLabeling>> PrunedLandmarkLabeling::Deserialize(
     const Graph& g, const std::string& content) {
-  std::istringstream in(content);
-  std::string tag, version;
-  NodeId num_nodes = 0;
-  size_t num_edges = 0;
-  in >> tag >> version >> num_nodes >> num_edges;
-  if (!in || tag != "pll" ||
-      (version != "v1" && version != "v2" && version != "v3")) {
-    return Status::InvalidArgument("not a pll v1/v2/v3 index");
+  // 1. Header: format, then the graph it was built over.
+  if (content.size() < kArtifactHeaderBytes + sizeof(uint64_t) ||
+      std::memcmp(content.data(), kArtifactMagic, sizeof(kArtifactMagic))) {
+    return Status::InvalidArgument("not a PLL index artifact");
   }
-  size_t total_entries = 0;
-  if (version != "v1") {
-    in >> total_entries;
-    if (!in) {
-      return Status::InvalidArgument(version + " header missing entry count");
-    }
-  }
-  if (num_nodes != g.num_nodes() || num_edges != g.num_edges()) {
+  const auto version = GetAt<uint32_t>(content, 8);
+  if (version != kArtifactVersion) {
     return Status::InvalidArgument(
-        StrFormat("index was built for a %u-node/%zu-edge graph, got %u/%zu",
-                  num_nodes, num_edges, g.num_nodes(), g.num_edges()));
+        StrFormat("PLL index artifact version %u, this reader reads %u",
+                  version, kArtifactVersion));
   }
-  if (version == "v3") {
-    // The weighted-edge fingerprint is what actually ties the artifact to
-    // this graph: equal node/edge counts (checked above) do not rule out a
-    // different topology or — the dangerous case — the same topology with
-    // different weights, against which every stored distance would be wrong.
-    std::string fp_hex;
-    in >> fp_hex;
-    auto parsed = ParseHex64(fp_hex);
-    if (!in || !parsed.ok()) {
-      return Status::InvalidArgument("v3 header has a malformed fingerprint");
-    }
-    const uint64_t stored = parsed.ValueOrDie();
-    const uint64_t actual = WeightedEdgeFingerprint(g);
-    if (stored != actual) {
-      return Status::InvalidArgument(StrFormat(
-          "index fingerprint %016llx does not match the supplied graph's "
-          "%016llx: the index was built over a graph with a different "
-          "weighted edge set (same shape is not enough)",
-          static_cast<unsigned long long>(stored),
-          static_cast<unsigned long long>(actual)));
-    }
+  const auto num_nodes = GetAt<NodeId>(content, 12);
+  const auto num_edges = GetAt<uint64_t>(content, 16);
+  const auto flat = GetAt<uint64_t>(content, 24);
+  const auto stored_fp = GetAt<uint64_t>(content, 32);
+  if (num_nodes != g.num_nodes() || num_edges != g.num_edges()) {
+    return Status::InvalidArgument(StrFormat(
+        "index was built for a %u-node/%llu-edge graph, got %u/%zu", num_nodes,
+        static_cast<unsigned long long>(num_edges), g.num_nodes(),
+        g.num_edges()));
   }
+  // The weighted-edge fingerprint is what actually ties the artifact to
+  // this graph: equal node/edge counts do not rule out a different topology
+  // or — the dangerous case — the same topology with different weights,
+  // against which every stored distance would be wrong.
+  if (const uint64_t actual = WeightedEdgeFingerprint(g); stored_fp != actual) {
+    return Status::InvalidArgument(StrFormat(
+        "index fingerprint %016llx does not match the supplied graph's "
+        "%016llx: the index was built over a graph with a different "
+        "weighted edge set (same shape is not enough)",
+        static_cast<unsigned long long>(stored_fp),
+        static_cast<unsigned long long>(actual)));
+  }
+  // 2. Size, before anything is allocated from the header's counts. `flat`
+  // is compared by division, so no claimed count can overflow the check.
+  const uint64_t fixed = ArtifactBytes(num_nodes, 0);
+  if (content.size() < fixed ||
+      (content.size() - fixed) % kBytesPerEntry != 0 ||
+      (content.size() - fixed) / kBytesPerEntry != flat) {
+    return Status::InvalidArgument(StrFormat(
+        "PLL index artifact holds %zu bytes, its header implies %llu entries",
+        content.size(), static_cast<unsigned long long>(flat)));
+  }
+  // 3. Checksum over every byte before the trailer.
+  const size_t body = content.size() - sizeof(uint64_t);
+  if (GetAt<uint64_t>(content, body) !=
+      Fnv1a64(std::string_view(content.data(), body))) {
+    return Status::InvalidArgument("PLL index artifact checksum mismatch");
+  }
+
+  // 4. Copy the arrays into place.
+  const size_t n = num_nodes;
   auto pll = std::unique_ptr<PrunedLandmarkLabeling>(new PrunedLandmarkLabeling(g));
-  in >> tag;
-  if (tag != "order") return Status::InvalidArgument("missing order section");
-  pll->order_.resize(num_nodes);
-  pll->rank_of_.resize(num_nodes);
-  std::vector<bool> seen(num_nodes, false);
+  size_t at = kArtifactHeaderBytes;
+  pll->order_.resize(n);
+  pll->label_offsets_.resize(n + 1);
+  pll->hub_ranks_.resize(flat + kLabelRunPadEntries, kInvalidNode);
+  pll->label_dists_.resize(flat + kLabelRunPadEntries, kInfDistance);
+  pll->label_parents_.resize(flat + kLabelRunPadEntries, kInvalidNode);
+  CopyArray(content, at, pll->order_.data(), n);
+  CopyArray(content, at, pll->label_offsets_.data(), n + 1);
+  CopyArray(content, at, pll->hub_ranks_.data(), flat);
+  CopyArray(content, at, pll->label_dists_.data(), flat);
+  CopyArray(content, at, pll->label_parents_.data(), flat);
+
+  // 5. Structure. The checksum proves the bytes are the ones written, not
+  // that the writer was this code: an artifact is input from outside.
+  pll->rank_of_.assign(n, kInvalidNode);
   for (NodeId rank = 0; rank < num_nodes; ++rank) {
-    NodeId v;
-    in >> v;
-    if (!in || v >= num_nodes || seen[v]) {
-      return Status::InvalidArgument("corrupt hub order");
+    const NodeId v = pll->order_[rank];
+    if (v >= num_nodes || pll->rank_of_[v] != kInvalidNode) {
+      return Status::InvalidArgument("hub order is not a permutation");
     }
-    seen[v] = true;
-    pll->order_[rank] = v;
     pll->rank_of_[v] = rank;
   }
-
-  std::vector<std::vector<LabelEntry>> labels(num_nodes);
-  if (version == "v1") {
-    for (NodeId i = 0; i < num_nodes; ++i) {
-      NodeId node;
-      size_t entries;
-      in >> tag >> node >> entries;
-      if (!in || tag != "label" || node != i) {
-        return Status::InvalidArgument(StrFormat("corrupt label for node %u", i));
-      }
-      if (entries > num_nodes) {
-        return Status::InvalidArgument("label larger than the graph");
-      }
-      auto& label = labels[i];
-      label.resize(entries);
-      NodeId prev_rank = 0;
-      for (size_t e = 0; e < entries; ++e) {
-        double dist;
-        int64_t parent;
-        in >> label[e].hub_rank >> dist >> parent;
-        if (!in || label[e].hub_rank >= num_nodes || !std::isfinite(dist) ||
-            dist < 0.0 || parent < -1 ||
-            parent >= static_cast<int64_t>(num_nodes)) {
-          return Status::InvalidArgument(
-              StrFormat("corrupt label entry for node %u", i));
-        }
-        if (e > 0 && label[e].hub_rank <= prev_rank) {
-          return Status::InvalidArgument("label hub ranks not strictly increasing");
-        }
-        prev_rank = label[e].hub_rank;
-        label[e].dist = dist;
-        label[e].parent = parent < 0 ? kInvalidNode : static_cast<NodeId>(parent);
-      }
-    }
-  } else {
-    in >> tag;
-    if (!in || tag != "sizes") return Status::InvalidArgument("missing sizes section");
-    size_t sum = 0;
-    for (NodeId i = 0; i < num_nodes; ++i) {
-      size_t entries;
-      in >> entries;
-      if (!in || entries > num_nodes) {
-        return Status::InvalidArgument(StrFormat("corrupt label size for node %u", i));
-      }
-      labels[i].resize(entries);
-      sum += entries;
-    }
-    if (sum != total_entries) {
-      return Status::InvalidArgument("label sizes do not sum to the entry count");
-    }
-    in >> tag;
-    if (!in || tag != "ranks") return Status::InvalidArgument("missing ranks section");
-    for (NodeId i = 0; i < num_nodes; ++i) {
-      NodeId prev_rank = 0;
-      for (size_t e = 0; e < labels[i].size(); ++e) {
-        in >> labels[i][e].hub_rank;
-        if (!in || labels[i][e].hub_rank >= num_nodes ||
-            (e > 0 && labels[i][e].hub_rank <= prev_rank)) {
-          return Status::InvalidArgument(
-              StrFormat("corrupt hub rank for node %u", i));
-        }
-        prev_rank = labels[i][e].hub_rank;
-      }
-    }
-    in >> tag;
-    if (!in || tag != "dists") return Status::InvalidArgument("missing dists section");
-    for (NodeId i = 0; i < num_nodes; ++i) {
-      for (auto& e : labels[i]) {
-        in >> e.dist;
-        if (!in || !std::isfinite(e.dist) || e.dist < 0.0) {
-          return Status::InvalidArgument(
-              StrFormat("corrupt label distance for node %u", i));
-        }
-      }
-    }
-    in >> tag;
-    if (!in || tag != "parents") {
-      return Status::InvalidArgument("missing parents section");
-    }
-    for (NodeId i = 0; i < num_nodes; ++i) {
-      for (auto& e : labels[i]) {
-        int64_t parent;
-        in >> parent;
-        if (!in || parent < -1 || parent >= static_cast<int64_t>(num_nodes)) {
-          return Status::InvalidArgument(
-              StrFormat("corrupt label parent for node %u", i));
-        }
-        e.parent = parent < 0 ? kInvalidNode : static_cast<NodeId>(parent);
-      }
+  // Offsets first, in full: the entry scan below indexes by them.
+  const std::vector<uint64_t>& offsets = pll->label_offsets_;
+  if (offsets[0] != 0 || offsets[n] != flat) {
+    return Status::InvalidArgument("label offsets do not span the entries");
+  }
+  for (size_t v = 0; v < n; ++v) {
+    if (offsets[v + 1] <= offsets[v]) {
+      return Status::InvalidArgument(
+          StrFormat("label offsets not increasing at node %zu", v));
     }
   }
-  pll->stats_ = PllStats{};
-  pll->Flatten(labels);
+  PllStats& stats = pll->stats_;
+  for (size_t v = 0; v < n; ++v) {
+    const uint64_t sentinel = offsets[v + 1] - 1;
+    for (uint64_t k = offsets[v]; k < sentinel; ++k) {
+      const NodeId rank = pll->hub_ranks_[k];
+      const double dist = pll->label_dists_[k];
+      const NodeId parent = pll->label_parents_[k];
+      if (rank >= num_nodes ||
+          (k > offsets[v] && rank <= pll->hub_ranks_[k - 1]) ||
+          !std::isfinite(dist) || dist < 0.0 ||
+          (parent >= num_nodes && parent != kInvalidNode)) {
+        return Status::InvalidArgument(
+            StrFormat("corrupt label entry %llu of node %zu",
+                      static_cast<unsigned long long>(k - offsets[v]), v));
+      }
+    }
+    if (pll->hub_ranks_[sentinel] != kInvalidNode ||
+        pll->label_dists_[sentinel] != kInfDistance ||
+        pll->label_parents_[sentinel] != kInvalidNode) {
+      return Status::InvalidArgument(
+          StrFormat("label of node %zu does not end in a sentinel", v));
+    }
+    stats.max_label_size =
+        std::max<size_t>(stats.max_label_size, sentinel - offsets[v]);
+  }
+  stats.total_entries = flat - n;
+  stats.avg_label_size =
+      n == 0 ? 0.0 : static_cast<double>(stats.total_entries) / n;
   return pll;
-}
-
-Status PrunedLandmarkLabeling::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << Serialize();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
 }
 
 Result<std::unique_ptr<PrunedLandmarkLabeling>> PrunedLandmarkLabeling::LoadFromFile(
     const Graph& g, const std::string& path) {
-  // One sized read into one buffer: an artifact is megabytes of text, and
-  // streaming it through a stringstream would hold extra copies of it. Only
-  // a regular file has a size to trust: a directory opens, and its end
-  // offset reads 2^63 - 1.
+  // One sized read into one buffer: an artifact is megabytes, and
+  // streaming it would hold extra copies of it. Only a regular file has a
+  // size to trust: a directory opens, and its end offset reads 2^63 - 1.
   std::error_code ec;
   if (!std::filesystem::is_regular_file(path, ec)) {
     return Status::IOError("not a regular file: " + path);

@@ -24,6 +24,8 @@
 // the CSR arrays are allocated 32-byte aligned and carry kLabelRunPadEntries
 // of sentinel padding past the final entry, so a vector load issued anywhere
 // inside a run stays in-bounds.
+// Serialize/Deserialize persist exactly these arrays as a checksummed binary
+// artifact (format v4, docs/FORMATS.md), so a load is a verified copy.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +112,9 @@ class PrunedLandmarkLabeling final : public DistanceOracle {
   /// not just used, bytes) of every array, which since the aligned+padded
   /// allocation includes the kLabelRunPadEntries sentinel tail carried by
   /// hub_ranks_/label_dists_/label_parents_ beyond label_offsets_[n]; the
-  /// arrays are sized exactly once in Flatten, so capacity == size there.
+  /// arrays are sized exactly once (Flatten after a build, Deserialize after
+  /// a load), so capacity == size and a loaded index reports what its built
+  /// original did.
   size_t MemoryBytes() const override {
     return label_offsets_.capacity() * sizeof(uint64_t) +
            hub_ranks_.capacity() * sizeof(NodeId) +
@@ -125,36 +129,32 @@ class PrunedLandmarkLabeling final : public DistanceOracle {
     return static_cast<size_t>(label_offsets_[v + 1] - label_offsets_[v]) - 1;
   }
 
-  /// Historical name of LabelEntriesForNode.
-  size_t LabelSize(NodeId v) const { return LabelEntriesForNode(v); }
-
-  /// Serializes the index (labels + hub order) to a portable text format so
-  /// production deployments can reuse an index across runs instead of
-  /// rebuilding it. Writes the v3 format: the v2 flat-CSR layout plus a
-  /// 64-bit weighted-edge-set fingerprint of the graph the index was built
-  /// over. The graph itself is NOT stored; Deserialize checks the supplied
-  /// graph against the fingerprint.
+  /// Serializes the index into the v4 artifact format (docs/FORMATS.md): a
+  /// little-endian binary copy of the CSR arrays behind a header carrying
+  /// the 64-bit weighted-edge-set fingerprint of the graph it was built
+  /// over, sealed by an FNV-1a checksum of every byte. The graph itself is
+  /// NOT stored; Deserialize checks the supplied graph against the
+  /// fingerprint.
   std::string Serialize() const;
 
   /// Restores an index previously produced by Serialize over the same graph.
-  /// Reads the current v3 format plus the legacy v2 (flat, no fingerprint)
-  /// and v1 (nested per-node) formats. Fails InvalidArgument on corrupt
-  /// input or a mismatched graph: v3 artifacts must match the supplied
-  /// graph's weighted-edge fingerprint exactly, so an index built over a
-  /// same-shape graph with different weights (e.g. another gamma's authority
-  /// transform) is rejected instead of silently answering wrong distances.
-  /// v1/v2 artifacts predate the fingerprint and are checked on shape only.
+  /// Fails InvalidArgument, and allocates nothing from an unchecked size,
+  /// on any other input: another format or version, a mismatched graph
+  /// (the fingerprint must match exactly, so an index built over a
+  /// same-shape graph with different weights, e.g. another gamma's
+  /// authority transform, is rejected instead of silently answering wrong
+  /// distances), a size the header does not imply, a checksum mismatch, or
+  /// arrays that do not form a valid label set.
   static Result<std::unique_ptr<PrunedLandmarkLabeling>> Deserialize(
       const Graph& g, const std::string& content);
 
-  /// File convenience wrappers.
-  Status SaveToFile(const std::string& path) const;
+  /// Reads `path` with one sized read and Deserializes it.
   static Result<std::unique_ptr<PrunedLandmarkLabeling>> LoadFromFile(
       const Graph& g, const std::string& path);
 
  private:
-  /// One label entry during construction / deserialization; the query-time
-  /// representation is the flat struct-of-arrays CSR below.
+  /// One label entry during construction; the query-time representation is
+  /// the flat struct-of-arrays CSR below.
   struct LabelEntry {
     NodeId hub_rank;  ///< rank (not id) of the hub, ascending within a label
     double dist;      ///< d(node, hub)

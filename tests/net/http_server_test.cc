@@ -299,6 +299,11 @@ TEST_F(HttpServerTest, HealthzReports503WhenDegraded) {
   auto healthy = client.ValueOrDie().Get("/healthz");
   ASSERT_TRUE(healthy.ok());
   EXPECT_EQ(healthy.ValueOrDie().status, 200);
+  // A swap refreshes only resident indexes: serve one so the update below
+  // reaches its rebuild fault point.
+  auto warm = client.ValueOrDie().Get("/find?skills=a,b");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm.ValueOrDie().status, 200);
 
   // Fail an ApplyDelta at the rebuild fault point: the service enters
   // DEGRADED (old epoch keeps serving) and /healthz must say so with 503.

@@ -67,23 +67,6 @@ TEST(NetworkIoTest, SkillNamedDashDoesNotCollideWithEmptySentinel) {
   EXPECT_TRUE(parsed.expert(1).skills.empty());
 }
 
-TEST(NetworkIoTest, ReadsLegacyV1FilesLiterally) {
-  // No `format` line: a legacy file whose names were underscore-folded by
-  // the old writer. They parse back exactly as stored — including '%',
-  // which must NOT be treated as an escape in v1.
-  std::string content =
-      "# teamdisc expert network v1\n"
-      "experts 2\n"
-      "0 4 7 John_Smith data_mining\n"
-      "1 2 1 100%_done -\n"
-      "edges 1\n"
-      "0 1 0.75\n";
-  ExpertNetwork net = DeserializeNetwork(content).ValueOrDie();
-  EXPECT_EQ(net.expert(0).name, "John_Smith");
-  EXPECT_EQ(net.expert(1).name, "100%_done");
-  EXPECT_NE(net.skills().Find("data_mining"), kInvalidSkill);
-}
-
 TEST(NetworkIoTest, RejectsMalformedEscapes) {
   const std::string prefix = "format 2\nexperts 1\n0 1 0 ";
   const std::string suffix = " -\nedges 0\n";
@@ -95,6 +78,17 @@ TEST(NetworkIoTest, RejectsMalformedEscapes) {
 TEST(NetworkIoTest, RejectsUnsupportedFormatVersion) {
   EXPECT_FALSE(DeserializeNetwork("format 3\nexperts 0\nedges 0\n").ok());
   EXPECT_FALSE(DeserializeNetwork("format 0\nexperts 0\nedges 0\n").ok());
+  EXPECT_FALSE(DeserializeNetwork("format 1\nexperts 0\nedges 0\n").ok());
+  // No format line: the old writer's underscore-folded file is refused
+  // rather than read with names that cannot be escaped back.
+  EXPECT_TRUE(DeserializeNetwork("# teamdisc expert network v1\n"
+                                 "experts 2\n"
+                                 "0 4 7 John_Smith data_mining\n"
+                                 "1 2 1 100%_done -\n"
+                                 "edges 1\n"
+                                 "0 1 0.75\n")
+                  .status()
+                  .IsInvalidArgument());
   // format after the experts header is malformed.
   EXPECT_FALSE(
       DeserializeNetwork("experts 0\nformat 2\nedges 0\n").ok());
@@ -126,26 +120,32 @@ TEST(NetworkIoTest, FileRoundTrip) {
 }
 
 TEST(NetworkIoTest, RejectsCountMismatches) {
-  EXPECT_FALSE(DeserializeNetwork("experts 2\n0 1 0 a -\nedges 0\n").ok());
   EXPECT_FALSE(
-      DeserializeNetwork("experts 1\n0 1 0 a -\nedges 2\n0 0 1.0\n").ok());
+      DeserializeNetwork("format 2\nexperts 2\n0 1 0 a -\nedges 0\n").ok());
+  EXPECT_FALSE(DeserializeNetwork(
+                   "format 2\nexperts 1\n0 1 0 a -\nedges 2\n0 0 1.0\n")
+                   .ok());
 }
 
 TEST(NetworkIoTest, RejectsNonDenseIds) {
-  EXPECT_FALSE(
-      DeserializeNetwork("experts 2\n0 1 0 a -\n2 1 0 b -\nedges 0\n").ok());
+  EXPECT_FALSE(DeserializeNetwork(
+                   "format 2\nexperts 2\n0 1 0 a -\n2 1 0 b -\nedges 0\n")
+                   .ok());
 }
 
 TEST(NetworkIoTest, RejectsMalformedLines) {
-  EXPECT_FALSE(DeserializeNetwork("bogus\n").ok());
-  EXPECT_FALSE(DeserializeNetwork("experts 1\n0 1 0 a\nedges 0\n").ok());
-  EXPECT_FALSE(DeserializeNetwork("experts 0\nedges 1\n0 1\n").ok());
+  EXPECT_FALSE(DeserializeNetwork("format 2\nbogus\n").ok());
+  EXPECT_FALSE(
+      DeserializeNetwork("format 2\nexperts 1\n0 1 0 a\nedges 0\n").ok());
+  EXPECT_FALSE(DeserializeNetwork("format 2\nexperts 0\nedges 1\n0 1\n").ok());
   EXPECT_FALSE(DeserializeNetwork("").ok());
-  EXPECT_FALSE(DeserializeNetwork("experts 0\n").ok());  // missing edges
+  // Missing edges section.
+  EXPECT_FALSE(DeserializeNetwork("format 2\nexperts 0\n").ok());
 }
 
 TEST(NetworkIoTest, RejectsBadEdgeEndpoint) {
-  auto r = DeserializeNetwork("experts 1\n0 1 0 a -\nedges 1\n0 5 1.0\n");
+  auto r = DeserializeNetwork(
+      "format 2\nexperts 1\n0 1 0 a -\nedges 1\n0 5 1.0\n");
   EXPECT_FALSE(r.ok());
 }
 
@@ -158,7 +158,7 @@ TEST(NetworkIoTest, EmptyNetworkRoundTrip) {
 
 TEST(NetworkIoTest, CommentsIgnored) {
   std::string content =
-      "# header comment\nexperts 1\n# expert line next\n0 2.5 3 solo "
+      "# header comment\nformat 2\nexperts 1\n# expert line next\n0 2.5 3 solo "
       "skill_a\nedges 0\n";
   ExpertNetwork net = DeserializeNetwork(content).ValueOrDie();
   EXPECT_EQ(net.num_experts(), 1u);

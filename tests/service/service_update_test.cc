@@ -168,6 +168,8 @@ TEST(ServiceUpdateTest, UpdatePersistsAcrossRestart) {
   const ExpertNetworkDelta delta = RichDelta();
   {
     auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    // A swap refreshes only resident indexes: serve one first.
+    svc->FindTeam(Request({"a"}, 0.6)).ValueOrDie();
     auto report = svc->ApplyDelta(delta).ValueOrDie();
     EXPECT_EQ(report.generation, 1u);
     EXPECT_GT(report.entries_rebuilt, 0u);  // the reweight invalidated them
@@ -184,6 +186,40 @@ TEST(ServiceUpdateTest, UpdatePersistsAcrossRestart) {
     // The versioned network file replaced the original.
     EXPECT_TRUE(fs::exists(fs::path(dir) / "network-g1.net"));
     EXPECT_FALSE(fs::exists(fs::path(dir) / "network.net"));
+  }
+}
+
+TEST(ServiceUpdateTest, SwapRebuildsOnlyResidentIndexes) {
+  // The snapshot lists the base and the gamma 0.6 index; only gamma 0.6 is
+  // being served. A reweight rebuilds that one, and the base index, which
+  // no request has read, keeps its old manifest fingerprint and builds on
+  // first use after a restart.
+  const std::string dir = MakeSnapshot("upd_resident", {0.6}, MediumNetwork());
+  ASSERT_EQ(ReadSnapshotManifest(dir).ValueOrDie().entries.size(), 2u);
+  ExpertNetworkDelta reweight;
+  reweight.ReweightCollaboration(3, 7, 0.9);
+  TeamRequest cc_request = Request({"a", "d"}, 0.6);
+  cc_request.strategy = RankingStrategy::kCC;
+  {
+    auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    svc->FindTeam(Request({"a", "d"}, 0.6)).ValueOrDie();
+    auto report = svc->ApplyDelta(reweight).ValueOrDie();
+    EXPECT_EQ(report.entries_rebuilt, 1u);
+    EXPECT_EQ(report.generation, 1u);
+  }
+  {
+    auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    svc->FindTeam(Request({"a", "d"}, 0.6)).ValueOrDie();
+    EXPECT_EQ(svc->cache_stats().builds, 0u) << "the swap persisted gamma 0.6";
+    EXPECT_EQ(svc->cache_stats().loads, 1u);
+    svc->FindTeam(cc_request).ValueOrDie();
+    EXPECT_EQ(svc->cache_stats().builds, 1u) << "the stale base index builds";
+  }
+  {
+    auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    svc->FindTeam(cc_request).ValueOrDie();
+    EXPECT_EQ(svc->cache_stats().builds, 0u) << "the first use persisted it";
+    EXPECT_EQ(svc->cache_stats().loads, 1u);
   }
 }
 

@@ -68,38 +68,55 @@ TEST(SnapshotManifestTest, RejectsMalformedManifests) {
   EXPECT_TRUE(ParseSnapshotManifest("").status().IsInvalidArgument());
   EXPECT_TRUE(ParseSnapshotManifest("garbage v1\n").status().IsInvalidArgument());
   // Missing network line.
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n")
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n")
                   .status()
                   .IsInvalidArgument());
   // Index line before network line.
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
-                                    "index base 0 pll x.pll\n")
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
+                                    "index base 0 pll x.pll 0abc\n")
                   .status()
                   .IsInvalidArgument());
   // Non-hex fingerprint.
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
                                     "network net.net nothex!\n")
                   .status()
                   .IsInvalidArgument());
   // Artifact path escaping the snapshot directory.
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
                                     "network net.net 0abc\n"
-                                    "index base 0 pll ../evil.pll\n")
+                                    "index base 0 pll ../evil.pll 0abc\n")
                   .status()
                   .IsInvalidArgument());
   // Network file escaping the snapshot directory (same trust boundary).
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
                                     "network ../outside.net 0abc\n")
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
                                     "network /etc/passwd 0abc\n")
                   .status()
                   .IsInvalidArgument());
-  // Base entry with a nonzero gamma.
+  // The v1 header is no longer read, even around a valid v2 body.
   EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v1\n"
+                                    "network net.net 0abc\n")
+                  .status()
+                  .IsInvalidArgument());
+  // An index line without its artifact fingerprint (the old 5-field form).
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
                                     "network net.net 0abc\n"
-                                    "index base 500 pll x.pll\n")
+                                    "index base 0 pll x.pll\n")
+                  .status()
+                  .IsInvalidArgument());
+  // A generation line after the network line.
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
+                                    "network net.net 0abc\n"
+                                    "generation 3\n")
+                  .status()
+                  .IsInvalidArgument());
+  // Base entry with a nonzero gamma.
+  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
+                                    "network net.net 0abc\n"
+                                    "index base 500 pll x.pll 0abc\n")
                   .status()
                   .IsInvalidArgument());
 }
@@ -233,25 +250,6 @@ TEST(SnapshotManifestTest, GenerationAndFingerprintsRoundTrip) {
   EXPECT_EQ(parsed.generation, 7u);
   ASSERT_EQ(parsed.entries.size(), 1u);
   EXPECT_EQ(parsed.entries[0].fingerprint, 0xabcdef0011223344ULL);
-}
-
-TEST(SnapshotManifestTest, LegacyV1ManifestStillParses) {
-  // Pre-generation manifests: v1 header, no generation line, 5-field index
-  // lines. They read back as generation 0 / fingerprint 0 ("unknown").
-  auto parsed = ParseSnapshotManifest(
-                    "teamdisc-snapshot v1\n"
-                    "network network.net 0abc\n"
-                    "index transform 2500 pll index-g2500-pll.pll\n")
-                    .ValueOrDie();
-  EXPECT_EQ(parsed.generation, 0u);
-  ASSERT_EQ(parsed.entries.size(), 1u);
-  EXPECT_EQ(parsed.entries[0].fingerprint, 0u);
-  // A generation line after the network line is malformed.
-  EXPECT_TRUE(ParseSnapshotManifest("teamdisc-snapshot v2\n"
-                                    "network network.net 0abc\n"
-                                    "generation 3\n")
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(SnapshotTest, BuildSnapshotRecordsArtifactFingerprints) {

@@ -7,6 +7,7 @@
 
 #include "../core/test_networks.h"
 #include "../serving/test_serving.h"
+#include "common/string_util.h"
 
 namespace teamdisc {
 namespace {
@@ -203,6 +204,52 @@ TEST(TeamDiscoveryServiceTest, CorruptArtifactIsRebuiltAndRepairedOnDisk) {
     auto stats = svc->cache_stats();
     EXPECT_EQ(stats.builds, 0u) << "repaired artifact must load";
     EXPECT_EQ(stats.loads, 1u);
+  }
+}
+
+TEST(TeamDiscoveryServiceTest, V3TextArtifactHealsToV4OnFirstUse) {
+  // A snapshot written before the binary format: its base index is a valid
+  // v3 text artifact for the path 0 -1.5- 1 -2.5- 2. It no longer loads,
+  // so the first CC request builds, and the saver rewrites it as v4.
+  ExpertNetworkBuilder b;
+  b.AddExpert("x", {"a"}, 1.0, 1);
+  b.AddExpert("y", {"b"}, 1.0, 1);
+  b.AddExpert("z", {"c"}, 1.0, 1);
+  TD_CHECK_OK(b.AddEdge(0, 1, 1.5));
+  TD_CHECK_OK(b.AddEdge(1, 2, 2.5));
+  const ExpertNetwork net = b.Finish().ValueOrDie();
+  const std::string dir = FreshDir("svc_v3_heal");
+  BuildSnapshotOptions options;
+  options.gammas = {};
+  TD_CHECK(BuildSnapshot(net, dir, options).ok());
+  const std::string artifact = dir + "/index-base-pll.pll";
+  {
+    std::ofstream out(artifact, std::ios::trunc);
+    out << StrFormat("pll v3 3 2 5 %016llx\n",
+                     static_cast<unsigned long long>(
+                         WeightedEdgeFingerprint(net.graph())))
+        << "order 1 0 2\n"
+           "sizes 2 1 2\n"
+           "ranks 0 1 0 0 2\n"
+           "dists 1.5 0 0 2.5 0\n"
+           "parents 1 -1 -1 1 -1\n";
+  }
+  TeamRequest request = Request({"a", "c"}, 0.6);
+  request.strategy = RankingStrategy::kCC;
+  {
+    auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    ASSERT_FALSE(svc->TopK(request).ValueOrDie().empty());
+    EXPECT_EQ(svc->cache_stats().builds, 1u);
+  }
+  std::ifstream in(artifact, std::ios::binary);
+  std::string head(8, '\0');
+  in.read(head.data(), 8);
+  EXPECT_EQ(head, "TDPLLIDX") << "the build was persisted as v4";
+  {
+    auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+    ASSERT_FALSE(svc->TopK(request).ValueOrDie().empty());
+    EXPECT_EQ(svc->cache_stats().builds, 0u);
+    EXPECT_EQ(svc->cache_stats().loads, 1u);
   }
 }
 

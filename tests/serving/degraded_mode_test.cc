@@ -128,6 +128,9 @@ TEST_F(DegradedModeTest, InjectedDispatchFaultCountsAsFailed) {
 TEST_F(DegradedModeTest, MetricsJsonExposesHealthRetryAndFaultGauges) {
   const std::string dir = MakeSnapshot("deg_metrics", {0.6});
   auto svc = TeamDiscoveryService::Open({.snapshot_dir = dir}).ValueOrDie();
+  // A swap refreshes only resident indexes: serve one so the failed update
+  // below reaches its rebuild fault point.
+  ASSERT_TRUE(svc->TopK(Request({"a", "d"})).ok());
   PipelineOptions options;
   options.workers = 1;
   options.queue_capacity = 16;

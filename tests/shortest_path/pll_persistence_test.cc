@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <limits>
 
-#include "common/string_util.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_generators.h"
 #include "shortest_path/dijkstra.h"
@@ -13,18 +17,31 @@
 namespace teamdisc {
 namespace {
 
+/// Size statistics and footprint of a loaded index equal its built
+/// original's (the build-only fields — time, threads, rounds — are not
+/// persisted).
+void ExpectSameShape(const PrunedLandmarkLabeling& built,
+                     const PrunedLandmarkLabeling& loaded) {
+  EXPECT_EQ(loaded.stats().total_entries, built.stats().total_entries);
+  EXPECT_EQ(loaded.stats().max_label_size, built.stats().max_label_size);
+  EXPECT_EQ(loaded.stats().avg_label_size, built.stats().avg_label_size);
+  EXPECT_EQ(loaded.MemoryBytes(), built.MemoryBytes());
+}
+
 TEST(PllPersistenceTest, RoundTripAnswersIdenticalQueries) {
   Rng rng(71);
   Graph g = BarabasiAlbert(120, 2, rng).ValueOrDie();
   auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
   auto restored =
       PrunedLandmarkLabeling::Deserialize(g, original->Serialize()).ValueOrDie();
-  EXPECT_EQ(restored->stats().total_entries, original->stats().total_entries);
+  ExpectSameShape(*original, *restored);
   for (int q = 0; q < 200; ++q) {
     NodeId u = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
     NodeId v = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
     EXPECT_EQ(original->Distance(u, v), restored->Distance(u, v));
   }
+  // Serialization is a pure function of the index.
+  EXPECT_EQ(restored->Serialize(), original->Serialize());
 }
 
 TEST(PllPersistenceTest, RestoredPathsAreValid) {
@@ -52,8 +69,12 @@ TEST(PllPersistenceTest, FileRoundTrip) {
   Rng rng(79);
   Graph g = RandomConnectedGraph(40, 20, rng).ValueOrDie();
   auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  std::string path = testing::TempDir() + "/pll_index.txt";
-  ASSERT_TRUE(original->SaveToFile(path).ok());
+  std::string path = testing::TempDir() + "/pll_index.pll";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << original->Serialize();
+    ASSERT_TRUE(out.good());
+  }
   auto restored = PrunedLandmarkLabeling::LoadFromFile(g, path).ValueOrDie();
   EXPECT_EQ(restored->Distance(0, 39), original->Distance(0, 39));
   std::remove(path.c_str());
@@ -68,35 +89,20 @@ TEST(PllPersistenceTest, RejectsMismatchedGraph) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
-TEST(PllPersistenceTest, RejectsCorruptInput) {
-  Rng rng(89);
-  Graph g = RandomConnectedGraph(20, 8, rng).ValueOrDie();
-  auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  std::string good = original->Serialize();
-  EXPECT_FALSE(PrunedLandmarkLabeling::Deserialize(g, "").ok());
-  EXPECT_FALSE(PrunedLandmarkLabeling::Deserialize(g, "garbage").ok());
-  EXPECT_FALSE(
-      PrunedLandmarkLabeling::Deserialize(g, good.substr(0, good.size() / 2))
-          .ok());
-  // Negative distance injection.
-  std::string tampered = good;
-  size_t pos = tampered.find(" 0 ");  // some numeric field
-  if (pos != std::string::npos) tampered.replace(pos, 3, " -9 ");
-  (void)PrunedLandmarkLabeling::Deserialize(g, tampered);  // must not crash
-}
-
-TEST(PllPersistenceTest, V3RoundTripIdenticalAnswersOnWeightedGraph) {
-  // Nontrivial weighted graph, parallel-built index: the v3 (flat CSR +
-  // fingerprint) round-trip must answer every query identically, bit for bit.
+TEST(PllPersistenceTest, V4RoundTripIdenticalAnswersOnWeightedGraph) {
+  // Nontrivial weighted graph, parallel-built index: the round trip must
+  // answer every query identically, bit for bit.
   Rng rng(101);
   Graph g = BarabasiAlbert(180, 3, rng, 0.2, 5.0).ValueOrDie();
   auto original =
       PrunedLandmarkLabeling::Build(g, {.num_threads = 4}).ValueOrDie();
   std::string serialized = original->Serialize();
-  EXPECT_EQ(serialized.rfind("pll v3 ", 0), 0u) << "Serialize must emit v3";
+  EXPECT_EQ(serialized.rfind("TDPLLIDX", 0), 0u) << "missing v4 magic";
+  uint32_t version = 0;
+  std::memcpy(&version, serialized.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 4u);
   auto restored = PrunedLandmarkLabeling::Deserialize(g, serialized).ValueOrDie();
-  EXPECT_EQ(restored->stats().total_entries, original->stats().total_entries);
-  EXPECT_EQ(restored->stats().max_label_size, original->stats().max_label_size);
+  ExpectSameShape(*original, *restored);
   std::vector<NodeId> targets;
   for (int i = 0; i < 16; ++i) {
     targets.push_back(static_cast<NodeId>(rng.NextBounded(g.num_nodes())));
@@ -110,39 +116,11 @@ TEST(PllPersistenceTest, V3RoundTripIdenticalAnswersOnWeightedGraph) {
   EXPECT_EQ(original->Distances(s, targets), restored->Distances(s, targets));
 }
 
-TEST(PllPersistenceTest, ReadsLegacyV1Format) {
-  // Hand-written v1 index for the path graph 0 -1.5- 1 -2.5- 2. Hub order is
-  // degree-descending (node 1 first); labels follow the sequential pruned
-  // Dijkstra: every node is covered by hub 1, nodes 0 and 2 add themselves.
-  Graph g = [] {
-    GraphBuilder b(3);
-    TD_CHECK_OK(b.AddEdge(0, 1, 1.5));
-    TD_CHECK_OK(b.AddEdge(1, 2, 2.5));
-    return b.Finish().ValueOrDie();
-  }();
-  const std::string v1 =
-      "pll v1 3 2\n"
-      "order 1 0 2\n"
-      "label 0 2 0 1.5 1 1 0 -1\n"
-      "label 1 1 0 0 -1\n"
-      "label 2 2 0 2.5 1 2 0 -1\n";
-  auto pll = PrunedLandmarkLabeling::Deserialize(g, v1).ValueOrDie();
-  EXPECT_DOUBLE_EQ(pll->Distance(0, 2), 4.0);
-  EXPECT_DOUBLE_EQ(pll->Distance(0, 1), 1.5);
-  EXPECT_DOUBLE_EQ(pll->Distance(1, 2), 2.5);
-  EXPECT_EQ(pll->ShortestPath(0, 2).ValueOrDie(), (std::vector<NodeId>{0, 1, 2}));
-  // Re-serializing upgrades to v2 with identical answers.
-  auto upgraded =
-      PrunedLandmarkLabeling::Deserialize(g, pll->Serialize()).ValueOrDie();
-  EXPECT_EQ(upgraded->Distance(0, 2), pll->Distance(0, 2));
-}
-
-// The v3 regression this format version exists for: an index serialized over
-// a graph with the SAME shape (nodes, edges, even the same topology) but
-// DIFFERENT weights must be rejected, not silently accepted with every
-// stored distance wrong. This is exactly the authority-transform trap: G'
-// at gamma=0.25 and gamma=0.75 share the topology of G and differ only in
-// edge weights.
+// An index serialized over a graph with the SAME shape (nodes, edges, even
+// the same topology) but DIFFERENT weights must be rejected, not silently
+// accepted with every stored distance wrong. This is exactly the
+// authority-transform trap: G' at gamma=0.25 and gamma=0.75 share the
+// topology of G and differ only in edge weights.
 TEST(PllPersistenceTest, RejectsSameShapeDifferentWeightsGraph) {
   auto build_weighted = [](double scale) {
     GraphBuilder b(5);
@@ -168,76 +146,126 @@ TEST(PllPersistenceTest, RejectsSameShapeDifferentWeightsGraph) {
   EXPECT_TRUE(PrunedLandmarkLabeling::Deserialize(g1, original->Serialize()).ok());
 }
 
-TEST(PllPersistenceTest, ReadsLegacyV2FormatFromSameGraph) {
-  // A v2 artifact (flat CSR, no fingerprint) from the same graph must keep
-  // loading: strip the fingerprint field off a v3 header to fabricate one.
-  Rng rng(107);
-  Graph g = BarabasiAlbert(90, 2, rng, 0.2, 4.0).ValueOrDie();
-  auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  std::string v3 = original->Serialize();
-  ASSERT_EQ(v3.rfind("pll v3 ", 0), 0u);
-  size_t header_end = v3.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  std::string header = v3.substr(0, header_end);
-  size_t last_space = header.rfind(' ');
-  ASSERT_NE(last_space, std::string::npos);
-  std::string v2 = "pll v2 " + header.substr(7, last_space - 7) +
-                   v3.substr(header_end);
-  auto restored = PrunedLandmarkLabeling::Deserialize(g, v2).ValueOrDie();
-  for (int q = 0; q < 100; ++q) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
-    ASSERT_EQ(original->Distance(u, v), restored->Distance(u, v));
+/// Mutation fixture: a small index, its artifact, and the byte offsets of
+/// the v4 sections (docs/FORMATS.md).
+class PllArtifactMutationTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(89);
+    graph_ = RandomConnectedGraph(20, 8, rng).ValueOrDie();
+    index_ = PrunedLandmarkLabeling::Build(graph_).ValueOrDie();
+    good_ = index_->Serialize();
+    ASSERT_TRUE(PrunedLandmarkLabeling::Deserialize(graph_, good_).ok());
+    const uint64_t n = graph_.num_nodes();
+    std::memcpy(&flat_, good_.data() + 24, sizeof(flat_));
+    order_at_ = 40;
+    offsets_at_ = order_at_ + 4 * n;
+    ranks_at_ = offsets_at_ + 8 * (n + 1);
+    dists_at_ = ranks_at_ + 4 * flat_;
+    ASSERT_EQ(good_.size(), dists_at_ + 12 * flat_ + 8);
+  }
+
+  Status Load(const std::string& artifact) const {
+    return PrunedLandmarkLabeling::Deserialize(graph_, artifact).status();
+  }
+
+  template <typename T>
+  static void Put(std::string& artifact, size_t at, T value) {
+    std::memcpy(artifact.data() + at, &value, sizeof(T));
+  }
+
+  /// Rewrites the trailing checksum over the tampered bytes, so only a size
+  /// or structure check can reject them.
+  static void Reseal(std::string& artifact) {
+    const size_t body = artifact.size() - sizeof(uint64_t);
+    Put(artifact, body, Fnv1a64(std::string_view(artifact.data(), body)));
+  }
+
+  Graph graph_;
+  std::unique_ptr<PrunedLandmarkLabeling> index_;
+  std::string good_;
+  uint64_t flat_ = 0;
+  size_t order_at_ = 0, offsets_at_ = 0, ranks_at_ = 0, dists_at_ = 0;
+};
+
+TEST_F(PllArtifactMutationTest, EveryTruncationIsInvalidArgument) {
+  for (size_t cut = 0; cut < good_.size(); ++cut) {
+    const Status status = Load(good_.substr(0, cut));
+    ASSERT_TRUE(status.IsInvalidArgument())
+        << "prefix of " << cut << " bytes: " << status.ToString();
   }
 }
 
-TEST(PllPersistenceTest, RejectsMalformedV3Fingerprint) {
-  Rng rng(109);
-  Graph g = RandomConnectedGraph(15, 5, rng).ValueOrDie();
-  auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  std::string good = original->Serialize();
-  size_t header_end = good.find('\n');
-  std::string no_fp = good;
-  size_t last_space = good.rfind(' ', header_end);
-  no_fp.replace(last_space + 1, header_end - last_space - 1, "nothex!");
-  EXPECT_TRUE(
-      PrunedLandmarkLabeling::Deserialize(g, no_fp).status().IsInvalidArgument());
+TEST_F(PllArtifactMutationTest, EveryBitFlipIsInvalidArgument) {
+  std::string mutated = good_;
+  for (size_t byte = 0; byte < good_.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutated[byte] = static_cast<char>(good_[byte] ^ (1 << bit));
+      const Status status = Load(mutated);
+      ASSERT_TRUE(status.IsInvalidArgument())
+          << "byte " << byte << " bit " << bit << ": " << status.ToString();
+    }
+    mutated[byte] = good_[byte];
+  }
 }
 
-TEST(PllPersistenceTest, RejectsCorruptV2Input) {
-  Rng rng(103);
-  Graph g = RandomConnectedGraph(25, 10, rng).ValueOrDie();
-  auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
-  std::string good = original->Serialize();
-  EXPECT_FALSE(
-      PrunedLandmarkLabeling::Deserialize(g, good.substr(0, good.size() / 3))
-          .ok());
-  // Entry count that disagrees with the sizes section.
-  std::string tampered = good;
-  size_t header_end = tampered.find('\n');
-  tampered.replace(0, header_end, StrFormat("pll v2 %u %zu %zu", g.num_nodes(),
-                                            g.num_edges(), size_t{999999}));
-  EXPECT_TRUE(
-      PrunedLandmarkLabeling::Deserialize(g, tampered).status().IsInvalidArgument());
-  // Out-of-range hub rank.
-  std::string bad_rank = good;
-  size_t pos = bad_rank.find("\nranks ");
-  ASSERT_NE(pos, std::string::npos);
-  bad_rank.replace(pos + 7, 1, "9999999");
-  EXPECT_FALSE(PrunedLandmarkLabeling::Deserialize(g, bad_rank).ok());
+TEST_F(PllArtifactMutationTest, ResealedCorruptionFailsItsStructuralCheck) {
+  ASSERT_GE(index_->LabelEntriesForNode(0), 1u);  // entry 0 is not a sentinel
+  struct Row {
+    const char* what;
+    std::function<void(std::string&)> tamper;
+    const char* message;  ///< expected in the error text
+  };
+  const std::vector<Row> rows = {
+      {"rank out of range",
+       [&](std::string& a) { Put<NodeId>(a, ranks_at_, graph_.num_nodes()); },
+       "corrupt label entry"},
+      {"NaN distance",
+       [&](std::string& a) {
+         Put(a, dists_at_, std::numeric_limits<double>::quiet_NaN());
+       },
+       "corrupt label entry"},
+      {"order not a permutation",
+       [&](std::string& a) {
+         NodeId first;
+         std::memcpy(&first, a.data() + order_at_, sizeof(first));
+         Put(a, order_at_ + sizeof(NodeId), first);
+       },
+       "permutation"},
+      {"offset past the entries",
+       [&](std::string& a) { Put<uint64_t>(a, offsets_at_ + 8, flat_ + 64); },
+       "offsets"},
+      // Must fail on size, before anything is sized from the claim: a
+      // 2^40-entry allocation would throw or abort.
+      {"header claims 2^40 entries",
+       [&](std::string& a) { Put<uint64_t>(a, 24, uint64_t{1} << 40); },
+       "header implies"},
+  };
+  for (const Row& row : rows) {
+    std::string artifact = good_;
+    row.tamper(artifact);
+    Reseal(artifact);
+    const Status status = Load(artifact);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << row.what << ": " << status.ToString();
+    EXPECT_NE(status.message().find(row.message), std::string::npos)
+        << row.what << ": " << status.ToString();
+  }
 }
 
-TEST(PllPersistenceTest, V3WrittenByScalarBuildAnswersIdenticallyUnderAvx2) {
-  // Alignment and padding are properties of the in-memory load path
-  // (Flatten), not of the v3 file format: an index serialized by a
-  // scalar-kernel build must deserialize into kernel-ready arrays and answer
-  // bit-identically under every compiled backend the CPU supports.
+TEST(PllPersistenceTest, ScalarWrittenArtifactAnswersIdenticallyEverywhere) {
+  // Alignment and padding are properties of the in-memory load path, not of
+  // the file format: an index serialized by a scalar-kernel build must
+  // deserialize into kernel-ready arrays, with the built index's shape and
+  // footprint, and answer bit-identically under every compiled backend the
+  // CPU supports.
   Rng rng(4242);
   Graph g = BarabasiAlbert(150, 2, rng).ValueOrDie();
   auto original = PrunedLandmarkLabeling::Build(g).ValueOrDie();
   original->UseKernelsForTesting(ScalarLabelKernels());
   const std::string artifact = original->Serialize();
   auto restored = PrunedLandmarkLabeling::Deserialize(g, artifact).ValueOrDie();
+  ExpectSameShape(*original, *restored);
   std::vector<NodeId> targets;
   for (int i = 0; i < 40; ++i) {
     targets.push_back(static_cast<NodeId>(rng.NextBounded(g.num_nodes())));

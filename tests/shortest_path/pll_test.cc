@@ -94,7 +94,9 @@ TEST(PllTest, StatsArePopulated) {
   EXPECT_GE(stats.max_label_size, static_cast<size_t>(stats.avg_label_size));
   EXPECT_GE(stats.build_seconds, 0.0);
   size_t total = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) total += pll->LabelSize(v);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    total += pll->LabelEntriesForNode(v);
+  }
   EXPECT_EQ(total, stats.total_entries);
 }
 
@@ -104,7 +106,7 @@ TEST(PllTest, HighestDegreeHubLabeledEverywhere) {
   Graph g = RandomConnectedGraph(60, 60, rng).ValueOrDie();
   auto pll = BuildPll(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_GE(pll->LabelSize(v), 1u);
+    EXPECT_GE(pll->LabelEntriesForNode(v), 1u);
   }
 }
 

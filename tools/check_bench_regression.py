@@ -1,38 +1,31 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate for the PLL query kernels.
+"""CI perf gate for the PLL batched-distance kernel: dispatched vs scalar.
 
-Compares a google-benchmark JSON report (bench_runtime run with
---benchmark_format=json or --benchmark_out=...) against the numbers committed
-in BENCH_pll.json's "regression_gate" section, and fails when any gated
-benchmark got slower than baseline * (1 + tolerance). The check is one-sided:
-faster is always fine (CI runners are usually faster than the 1-core
-container the baselines were measured on), slower past the tolerance is a
-regression someone must either fix or consciously re-baseline with --update.
+bench_runtime times the batched-distance benchmark twice in one process:
+BM_PllBatchedDistances/<n> on the dispatched kernel backend, and
+BM_PllBatchedDistancesScalar/<n> on a copy of the same index pinned to the
+scalar reference. The gate fails unless, for every target count n, the
+dispatched time is at most MAX_RATIO of the scalar time. The gate exists to
+catch a silent fallback to the scalar kernel (a ratio near 1.0), and a ratio
+taken inside one process does not depend on how fast the host is.
 
 Usage:
-  check_bench_regression.py --bench-json out.json [--baseline BENCH_pll.json]
-                            [--tolerance 0.15] [--require-all] [--update]
-
-Tolerance resolution (first match wins):
-  1. --tolerance
-  2. TEAMDISC_BENCH_TOLERANCE environment variable
-  3. "default_tolerance" in the baseline's regression_gate section
-  4. 0.15
-
-On noisy or heterogeneous hosts (shared CI runners, laptops on battery) raise
-the tolerance rather than deleting the gate: e.g. --tolerance 0.75 still
-catches a 2x regression while absorbing scheduler noise. On a quiet dedicated
-host the 15% default is comfortably above run-to-run variance.
-
---update rewrites the baseline's gated numbers in place from the supplied
-report (refreshing BENCH_pll.json after an intentional perf change); it
-preserves every other field of the file.
+  bench_runtime --benchmark_filter=BM_PllBatchedDistances \\
+                --benchmark_repetitions=5 \\
+                --benchmark_out=report.json --benchmark_out_format=json
+  check_bench_regression.py --bench-json report.json
 """
 
 import argparse
 import json
-import os
 import sys
+
+# Dispatched / scalar ceiling for every target count. AVX2 measured
+# 0.26-0.38 against scalar; a fallback reads ~1.0.
+MAX_RATIO = 0.5
+
+DISPATCHED = "BM_PllBatchedDistances/"
+SCALAR = "BM_PllBatchedDistancesScalar/"
 
 _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -72,86 +65,38 @@ def main():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--bench-json", required=True,
                    help="google-benchmark JSON report from bench_runtime")
-    p.add_argument("--baseline", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_pll.json"),
-        help="baseline file carrying the regression_gate section")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed slowdown as a fraction (0.15 = 15%%)")
-    p.add_argument("--require-all", action="store_true",
-                   help="fail if a gated benchmark is missing from the report")
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the baseline's gated numbers from the report")
     args = p.parse_args()
 
-    baseline = load_json(args.baseline)
-    gate = baseline.get("regression_gate")
-    if not isinstance(gate, dict) or not isinstance(gate.get("benchmarks_ns"), dict):
-        sys.exit(f"error: {args.baseline} has no regression_gate.benchmarks_ns section")
-
     report = measured_ns(load_json(args.bench_json))
-
-    if args.update:
-        missing = [n for n in gate["benchmarks_ns"] if n not in report]
-        if missing:
-            sys.exit("error: --update needs every gated benchmark in the "
-                     f"report; missing: {', '.join(missing)}")
-        for name in gate["benchmarks_ns"]:
-            gate["benchmarks_ns"][name] = round(report[name], 1)
-        with open(args.baseline, "w", encoding="utf-8") as f:
-            json.dump(baseline, f, indent=2)
-            f.write("\n")
-        print(f"updated {len(gate['benchmarks_ns'])} baselines in {args.baseline}")
-        return 0
-
-    tolerance = args.tolerance
-    if tolerance is None:
-        env = os.environ.get("TEAMDISC_BENCH_TOLERANCE")
-        if env is not None:
-            try:
-                tolerance = float(env)
-            except ValueError:
-                sys.exit(f"error: TEAMDISC_BENCH_TOLERANCE={env!r} is not a number")
-    if tolerance is None:
-        tolerance = float(gate.get("default_tolerance", 0.15))
-    if tolerance < 0:
-        sys.exit("error: tolerance must be >= 0")
-
-    regressions, checked, skipped = [], 0, []
-    for name, base_ns in sorted(gate["benchmarks_ns"].items()):
-        got = report.get(name)
-        if got is None:
-            skipped.append(name)
-            continue
-        checked += 1
-        limit = base_ns * (1.0 + tolerance)
-        ratio = got / base_ns if base_ns > 0 else float("inf")
-        verdict = "REGRESSION" if got > limit else "ok"
-        print(f"  {verdict:>10}  {name:<40} baseline {base_ns:>12.1f} ns   "
-              f"measured {got:>12.1f} ns   ({ratio:.2f}x)")
-        if got > limit:
-            regressions.append((name, base_ns, got, ratio))
-
-    if skipped:
-        note = "error" if args.require_all else "note"
-        print(f"{note}: gated benchmarks missing from the report: "
-              f"{', '.join(skipped)}")
-        if args.require_all:
-            return 1
-    if checked == 0:
-        sys.exit("error: no gated benchmark found in the report "
+    sizes = sorted(int(name[len(DISPATCHED):]) for name in report
+                   if name.startswith(DISPATCHED))
+    if not sizes:
+        sys.exit(f"error: no {DISPATCHED}<n> benchmark in the report "
                  "(wrong --benchmark_filter?)")
 
-    if regressions:
-        print(f"\nFAIL: {len(regressions)}/{checked} benchmark(s) regressed "
-              f"beyond the {tolerance:.0%} tolerance:")
-        for name, base, got, ratio in regressions:
-            print(f"  {name}: {base:.1f} -> {got:.1f} ns ({ratio:.2f}x)")
-        print("If the slowdown is intentional, re-baseline with --update; "
-              "if this host is noisy, raise --tolerance / "
-              "TEAMDISC_BENCH_TOLERANCE.")
+    failed = 0
+    for n in sizes:
+        dispatched = report[f"{DISPATCHED}{n}"]
+        scalar = report.get(f"{SCALAR}{n}")
+        if scalar is None:
+            print(f"  {'MISSING':>8}  {SCALAR}{n} is not in the report")
+            failed += 1
+            continue
+        ratio = dispatched / scalar
+        verdict = "ok" if ratio <= MAX_RATIO else "FAIL"
+        print(f"  {verdict:>8}  {n:>4} targets: dispatched {dispatched:>10.1f} ns"
+              f"   scalar {scalar:>10.1f} ns   ratio {ratio:.2f}")
+        if verdict != "ok":
+            failed += 1
+
+    if failed:
+        print(f"\nFAIL: {failed}/{len(sizes)} target count(s) above the "
+              f"{MAX_RATIO} dispatched/scalar ceiling: the dispatched kernel "
+              "is not faster than the scalar reference (check the label's "
+              "kernel=<name> and TEAMDISC_KERNEL).")
         return 1
-    print(f"\nOK: {checked} benchmark(s) within the {tolerance:.0%} tolerance"
-          + (f" ({len(skipped)} not in this report)" if skipped else ""))
+    print(f"\nOK: dispatched/scalar <= {MAX_RATIO} at all {len(sizes)} "
+          "target counts")
     return 0
 
 
